@@ -1,13 +1,19 @@
 """Baselines for comparison: classic polynomial-barycentric AAA and
-FFT-based trigonometric interpolation."""
+FFT-based trigonometric interpolation.
+
+The AAA baseline shares the greedy/solve routine of :mod:`aaatrig.solver`
+with :func:`aaatrig.solver.fit` and :func:`aaatrig.solver.cleanup`; only
+the kernel of its Loewner system differs.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .numerics import min_singular_direction
+from . import solver
 from .trigbary import SampleSet, TWO_PI
 
 # Proximity at which AAA evaluation short-circuits to the support value.
@@ -45,45 +51,17 @@ class FourierInterpolant:
 
 
 def aaa_fit(samples: SampleSet, rel_tol: float = 1e-13, max_order: int = 100) -> AaaModel:
-    """Classic AAA greedy fit (same loop as the trigonometric solver,
-    polynomial kernel, no strip projection)."""
-    M = samples.size
-    if M < 4:
-        raise ValueError("need at least 4 samples")
-    pts, vals = samples.points, samples.values
-    scale = float(np.max(np.abs(vals)))
-    cap = min(max_order, M // 2)
-
-    resid = np.abs(vals - np.mean(vals))
-    active = np.ones(M, dtype=bool)
-    support: list[int] = []
-    err_history: list[float] = []
-    converged = False
-    weights = None
-
-    for _ in range(cap):
-        pick = int(np.argmax(np.where(active, resid, -1.0)))
-        support.append(pick)
-        active[pick] = False
-        rows = np.flatnonzero(active)
-        C = 1.0 / (pts[rows][:, None] - pts[support][None, :])
-        A = (vals[rows][:, None] - vals[support][None, :]) * C
-        weights = min_singular_direction(A)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r_active = (C @ (weights * vals[support])) / (C @ weights)
-        res_active = np.abs(vals[rows] - r_active)
-        resid[rows] = np.where(np.isfinite(res_active), res_active, np.inf)
-        err = float(np.max(resid[rows]))
-        err_history.append(err)
-        if err <= rel_tol * scale:
-            converged = True
-            break
-
+    """Classic AAA greedy fit: the trigonometric solver's greedy loop with
+    the kernel 1/(z - z_j) and no strip projection."""
+    build = partial(solver.loewner_system, samples, kernel=lambda d: 1.0 / d)
+    support, weights, history, scale, converged = solver.greedy(
+        samples, build, rel_tol, max_order
+    )
     return AaaModel(
-        pts[support].copy(),
-        vals[support].copy(),
+        samples.points[support],
+        samples.values[support],
         weights,
-        np.asarray(err_history),
+        history,
         scale,
         converged=converged,
     )

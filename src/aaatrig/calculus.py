@@ -12,14 +12,15 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 
 from .trigbary import (
     Parity,
     TrigModel,
     _canonicalize_array,
     _cst_values,
-    _polyval,
     cst_derivatives,
+    derivative_polys,
     evaluate,
     strip_distance,
 )
@@ -43,20 +44,6 @@ class DiffMatrix:
     entries: np.ndarray
 
 
-def _tan_derivative_polys(order):
-    # T_q with d^q/du^q tan(u) = T_q(tan u); chain rule factor (1 + t^2).
-    polys = [[0.0, 1.0]]
-    for _ in range(order):
-        prev = polys[-1]
-        der = [k * prev[k] for k in range(1, len(prev))] or [0.0]
-        out = [0.0] * (len(der) + 2)
-        for i, c in enumerate(der):
-            out[i] += c
-            out[i + 2] += c
-        polys.append(out)
-    return polys
-
-
 def _recip_derivs(parity: Parity, u: np.ndarray, qmax: int) -> np.ndarray:
     """d^q/du^q of the kernel reciprocal (sin for odd, tan for even)."""
     u = np.asarray(u, dtype=complex)
@@ -68,8 +55,8 @@ def _recip_derivs(parity: Parity, u: np.ndarray, qmax: int) -> np.ndarray:
             out[q] = cycle[q % 4]
     else:
         t = np.tan(u)
-        for q, poly in enumerate(_tan_derivative_polys(qmax)):
-            out[q] = _polyval(poly, t)
+        for q, poly in enumerate(derivative_polys("tan", qmax)):
+            out[q] = P.polyval(t, poly)
     return out
 
 

@@ -86,8 +86,18 @@ def write_model(path: str, model: TrigModel, report=None) -> None:
 
 
 def read_model(path: str) -> TrigModel:
+    return _load_json(path, model_from_dict, "model file")
+
+
+def _load_json(path: str, parse, what: str):
+    """Parse the JSON document at path; a missing or mistyped field in it
+    becomes ValueError(path: ...)."""
     with open(path) as fh:
-        return model_from_dict(json.load(fh))
+        doc = json.load(fh)
+    try:
+        return parse(doc)
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed {what} ({exc})")
 
 
 def write_table(path: str, header: list[str], rows) -> None:
@@ -114,13 +124,10 @@ def ingest(path: str, fmt: str = "csv") -> SampleSet:
     if fmt == "csv":
         points, values = _read_csv_samples(path)
     elif fmt == "json":
-        with open(path) as fh:
-            doc = json.load(fh)
-        try:
-            points = _unpairs(doc["points"])
-            values = _unpairs(doc["values"])
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ValueError(f"{path}: malformed JSON sample file ({exc})")
+        points, values = _load_json(
+            path, lambda doc: (_unpairs(doc["points"]), _unpairs(doc["values"])),
+            "JSON sample file",
+        )
         if len(points) != len(values):
             raise ValueError(f"{path}: points and values differ in length")
     else:
@@ -155,8 +162,7 @@ def _read_csv_samples(path: str):
 def read_points(path: str, fmt: str = "csv") -> np.ndarray:
     """Load evaluation points: CSV (header re_z,im_z) or JSON {"points": ...}."""
     if fmt == "json":
-        with open(path) as fh:
-            return _unpairs(json.load(fh)["points"])
+        return _load_json(path, lambda doc: _unpairs(doc["points"]), "JSON points file")
     points = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -215,17 +221,22 @@ def _scale_out(points: np.ndarray, period: float) -> np.ndarray:
     return np.asarray(points, dtype=complex) * (period / TWO_PI)
 
 
-def cmd_fit(args) -> int:
+def _samples(args) -> SampleSet:
+    """Ingest --data, with points rescaled from --period to 2*pi."""
     samples = ingest(args.data, args.format)
-    if args.period != TWO_PI:
-        samples = SampleSet.from_data(_scale_in(samples.points, args.period), samples.values)
-    model = solver.fit(samples, _fit_config(args))
+    if args.period == TWO_PI:
+        return samples
+    return SampleSet.from_data(_scale_in(samples.points, args.period), samples.values)
+
+
+def _write_errors(path: str, err_history) -> None:
+    write_table(path, ["m", "max_err"], [(m + 1, e) for m, e in enumerate(err_history)])
+
+
+def cmd_fit(args) -> int:
+    model = solver.fit(_samples(args), _fit_config(args))
     write_model(args.out + ".model.json", model)
-    write_table(
-        args.out + ".errors.tsv",
-        ["m", "max_err"],
-        [(m + 1, e) for m, e in enumerate(model.err_history)],
-    )
+    _write_errors(args.out + ".errors.tsv", model.err_history)
     print(
         f"fit: m={model.m} max_err={model.err_history[-1]:.17g} "
         f"converged={model.converged}"
@@ -277,9 +288,7 @@ def cmd_diff(args) -> int:
 
 def cmd_clean(args) -> int:
     model = read_model(args.model)
-    samples = ingest(args.data, args.format)
-    if args.period != TWO_PI:
-        samples = SampleSet.from_data(_scale_in(samples.points, args.period), samples.values)
+    samples = _samples(args)
     config = solver.FitConfig(parity=model.parity, cleanup_tol=args.tol)
     cleaned = solver.cleanup(model, samples, config)
     write_model(args.out + ".model.json", cleaned)
@@ -298,16 +307,8 @@ def cmd_compare_aaa(args) -> int:
     samples = baselines.rectangle_samples(func, args.n, args.seed)
     trig = solver.fit(samples, solver.FitConfig(rel_tol=args.tol, max_order=args.mmax, cleanup=False))
     aaa = baselines.aaa_fit(samples, rel_tol=args.tol, max_order=args.mmax)
-    write_table(
-        args.out + ".aaatrig.tsv",
-        ["m", "max_err"],
-        [(m + 1, e) for m, e in enumerate(trig.err_history)],
-    )
-    write_table(
-        args.out + ".aaa.tsv",
-        ["m", "max_err"],
-        [(m + 1, e) for m, e in enumerate(aaa.err_history)],
-    )
+    _write_errors(args.out + ".aaatrig.tsv", trig.err_history)
+    _write_errors(args.out + ".aaa.tsv", aaa.err_history)
     print(f"compare-aaa[{args.function}]: aaatrig m={trig.m} aaa m={aaa.m}")
     return 0
 
@@ -320,11 +321,7 @@ def cmd_compare_fft(args) -> int:
     trig = solver.fit(samples, solver.FitConfig(rel_tol=args.tol, max_order=args.mmax, cleanup=False))
     orders = np.arange(1, args.mmax + 1)
     fft_errs = baselines.fft_least_squares_errors(samples, orders)
-    write_table(
-        args.out + ".aaatrig.tsv",
-        ["m", "max_err"],
-        [(m + 1, e) for m, e in enumerate(trig.err_history)],
-    )
+    _write_errors(args.out + ".aaatrig.tsv", trig.err_history)
     write_table(args.out + ".fft.tsv", ["m", "max_err"], zip(orders, fft_errs))
     print(f"compare-fft: aaatrig m={trig.m} err={trig.err_history[-1]:.3e}")
     return 0
@@ -431,8 +428,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, np.linalg.LinAlgError) as exc:
-        print(f"aaatrig: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, np.linalg.LinAlgError, MemoryError) as exc:
+        print(f"aaatrig: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

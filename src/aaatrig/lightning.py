@@ -16,7 +16,7 @@ z = pi + 1/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -234,17 +234,9 @@ def solve_dirichlet(boundary, poles, n_runge: int,
     full = np.zeros(2 * (n1 + n_runge + 1))
     full[keep] = sol
     coefs = full[: n1 + n_runge + 1] + 1j * full[n1 + n_runge + 1 :]
-    model = LightningModel(
-        poles,
-        coefs[:n1],
-        complex(runge_center),
-        coefs[n1:],
-        H,
-    )
+    model = LightningModel(poles, coefs[:n1], complex(runge_center), coefs[n1:], H)
     resid = float(np.max(np.abs(evaluate_lightning(model, pts).imag - rhs)))
-    return LightningModel(
-        poles, coefs[:n1], complex(runge_center), coefs[n1:], H, resid
-    )
+    return replace(model, boundary_residual=resid)
 
 
 def flow_targets(pts) -> np.ndarray:
@@ -261,14 +253,7 @@ def solve_flow_demo(per_corner: int = 61, sigma_scale: float = 4.0,
     # Residual reported on an independent (staggered + denser) boundary set.
     check = collocation_points(per_corner, sigma_scale, oversample=7, stagger=0.41)
     resid = float(np.max(np.abs(evaluate_lightning(model, check).imag - flow_targets(check))))
-    return LightningModel(
-        model.newman_poles,
-        model.newman_coeffs,
-        model.runge_center,
-        model.runge_coeffs,
-        model.arnoldi_hessenberg,
-        resid,
-    )
+    return replace(model, boundary_residual=resid)
 
 
 def compress(model: LightningModel, n_samples: int = 1000,

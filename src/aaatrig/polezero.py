@@ -194,55 +194,54 @@ def _map_back(kind: str, lam: np.ndarray) -> np.ndarray:
     return _canonicalize_array(z)
 
 
-def _bary_sum(model: TrigModel, z: np.ndarray, use_numerator: bool):
-    """Weighted kernel sums and the per-term magnitude reference at z."""
-    coeff = model.weights * (model.fvals if use_numerator else 1.0)
-    u = (np.asarray(z, dtype=complex)[:, None] - model.support[None, :]) / 2.0
+def _kernel_sum(model: TrigModel, z: np.ndarray, coeff: np.ndarray):
+    """sum_j c_j cst((z - z_j)/2) and its z-derivative at each point of z,
+    with the largest term magnitude of each sum (non-finite if any term is)."""
+    u = (z[:, None] - model.support[None, :]) / 2.0
+    kernel = cst_derivatives(model.parity, u, 1)
     with np.errstate(invalid="ignore"):
-        terms = coeff[None, :] * _cst_values(model.parity, u)
-        bad = ~(np.isfinite(terms.real) & np.isfinite(terms.imag))
-        if np.any(bad):
-            # A candidate may sit within rounding of a support point; nudge off.
-            zn = np.asarray(z, dtype=complex).copy()
-            rows = np.any(bad, axis=1)
-            zn[rows] += 1e-12j
-            u = (zn[:, None] - model.support[None, :]) / 2.0
-            terms = coeff[None, :] * _cst_values(model.parity, u)
-    return np.sum(terms, axis=1), np.max(np.abs(terms), axis=1)
+        terms = coeff * kernel[0]
+        dterms = 0.5 * coeff * kernel[1]
+    return (
+        np.sum(terms, axis=1),
+        np.sum(dterms, axis=1),
+        np.max(np.abs(terms), axis=1),
+        np.max(np.abs(dterms), axis=1),
+    )
 
 
-def _polished(model: TrigModel, cands: np.ndarray, use_numerator: bool) -> np.ndarray:
+def _polished(model: TrigModel, cands: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     """A few Newton steps on the kernel sum to sharpen eigenvalue candidates.
 
     Eigenvalues of doublet poles can carry errors far above the local root
     width; polishing makes the residual check meaningful there.  Candidates
-    are never allowed to wander more than a small fraction of the strip.
+    are never allowed to wander more than a small fraction of the strip: a
+    candidate stops at a non-finite or long step and is reset if it ends up
+    too far from where it started.
     """
-    coeff = model.weights * (model.fvals if use_numerator else 1.0)
-    out = cands.astype(complex).copy()
-    for i, z0 in enumerate(cands):
-        z = complex(z0)
-        for _ in range(3):
-            u = (z - model.support) / 2.0
-            kern = cst_derivatives(model.parity, u, 1)
-            fv = np.sum(coeff * kern[0])
-            dv = 0.5 * np.sum(coeff * kern[1])
-            if not np.isfinite(fv) or not np.isfinite(dv) or dv == 0.0:
-                break
+    z = cands.astype(complex)
+    live = np.arange(len(z))
+    for _ in range(3):
+        fv, dv, _, _ = _kernel_sum(model, z[live], coeff)
+        with np.errstate(divide="ignore", invalid="ignore"):
             step = fv / dv
-            if not np.isfinite(step) or abs(step) > 0.05:
-                break
-            z -= step
-        if abs(z - z0) <= 0.05:
-            out[i] = z
-    return _canonicalize_array(out)
+        ok = np.isfinite(fv) & np.isfinite(dv) & (dv != 0.0)
+        ok &= np.isfinite(step) & (np.abs(step) <= 0.05)
+        live = live[ok]
+        z[live] -= step[ok]
+    return _canonicalize_array(np.where(np.abs(z - cands) <= 0.05, z, cands))
 
 
 def _verified(model: TrigModel, cands: np.ndarray, use_numerator: bool) -> np.ndarray:
     if len(cands) == 0:
         return cands
-    cands = _polished(model, cands, use_numerator)
-    total, ref = _bary_sum(model, cands, use_numerator)
+    coeff = model.weights * (model.fvals if use_numerator else 1.0)
+    cands = _polished(model, cands, coeff)
+    total, _, ref, _ = _kernel_sum(model, cands, coeff)
+    bad = ~np.isfinite(ref)
+    if np.any(bad):
+        # A candidate may sit within rounding of a support point; nudge off.
+        total[bad], _, ref[bad], _ = _kernel_sum(model, cands[bad] + 1e-12j, coeff)
     keep = np.abs(total) <= RESIDUAL_TOL * ref
     out = cands[keep]
     # Deduplicate coincident candidates (pencil + pi check can overlap).
@@ -292,11 +291,11 @@ def _pf_constant(model: TrigModel) -> complex:
 
 
 def _quotient_parts(model: TrigModel, poles: np.ndarray):
-    u = (np.asarray(poles, dtype=complex)[:, None] - model.support[None, :]) / 2.0
-    kernel = cst_derivatives(model.parity, u, 1)
-    num = np.sum(model.fvals * model.weights * kernel[0], axis=1)
-    dterms = 0.5 * model.weights * kernel[1]
-    return num, np.sum(dterms, axis=1), np.max(np.abs(dterms), axis=1)
+    """Numerator n(p), denominator derivative d'(p) and its largest term."""
+    # f*w, not w*f: numpy's complex product need not round symmetrically.
+    num, _, _, _ = _kernel_sum(model, poles, model.fvals * model.weights)
+    _, dprime, _, ref = _kernel_sum(model, poles, model.weights)
+    return num, dprime, ref
 
 
 def _residues_unchecked(model: TrigModel, poles) -> np.ndarray:

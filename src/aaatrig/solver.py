@@ -1,17 +1,22 @@
-"""Greedy fitting of trigonometric barycentric rationals.
+"""Greedy fitting of barycentric rationals.
 
 The loop alternates greedy support selection with a least-squares solve for
 the weights: at step m the sample with the largest residual joins the
-support, the trigonometric Loewner matrix is assembled over the remaining
-samples, and the weights are the right singular vector of its smallest
-singular value.  Optional far-field constraint rows pin the approximant's
-values at +-i*infinity; an optional cleanup pass removes spurious
-pole-zero pairs (Froissart doublets) after termination.
+support, the Loewner matrix is assembled over the remaining samples, and
+the weights are the right singular vector of its smallest singular value.
+One greedy routine (:func:`greedy`) and one solve step
+(:func:`solve_weights`) serve :func:`fit`, the re-solve in :func:`cleanup`
+and the classic AAA baseline; callers differ only in how a step's system is
+assembled.  The trigonometric fit uses the cst kernel, with optional
+far-field constraint rows that pin the approximant's values at
++-i*infinity; an optional cleanup pass removes spurious pole-zero pairs
+(Froissart doublets) after termination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -65,10 +70,10 @@ class LeastSquaresSystem:
     cauchy: np.ndarray
 
 
-def assemble_loewner(samples: SampleSet, support_idx, parity: Parity) -> LeastSquaresSystem:
-    """Trigonometric Loewner matrix over the non-support samples.
+def loewner_system(samples: SampleSet, support_idx, kernel) -> LeastSquaresSystem:
+    """Loewner matrix over the non-support samples for any kernel.
 
-    Entry (k, j) is (F_k - f_j) * cst((Z_k - z_j)/2) where Z_k runs over the
+    Entry (k, j) is (F_k - f_j) * kernel(Z_k - z_j) where Z_k runs over the
     samples not chosen as support.
     """
     support_idx = np.asarray(support_idx, dtype=int)
@@ -85,9 +90,14 @@ def assemble_loewner(samples: SampleSet, support_idx, parity: Parity) -> LeastSq
     F = samples.values[active_rows]
     zj = samples.points[support_idx]
     fj = samples.values[support_idx]
-    C = _cst_values(parity, (Z[:, None] - zj[None, :]) / 2.0)
+    C = kernel(Z[:, None] - zj[None, :])
     A = (F[:, None] - fj[None, :]) * C
     return LeastSquaresSystem(A, active_rows, F, fj, C)
+
+
+def assemble_loewner(samples: SampleSet, support_idx, parity: Parity) -> LeastSquaresSystem:
+    """Trigonometric Loewner matrix: the kernel is cst((Z_k - z_j)/2)."""
+    return loewner_system(samples, support_idx, lambda d: _cst_values(parity, d / 2.0))
 
 
 def append_far_field_rows(
@@ -110,58 +120,76 @@ def append_far_field_rows(
     return replace(system, matrix=np.vstack([system.matrix, rows]))
 
 
-def fit(samples: SampleSet, config: FitConfig = FitConfig()) -> TrigModel:
-    """Fit a trigonometric barycentric rational to scattered samples.
+def _trig_system(samples: SampleSet, parity: Parity, far: FarField | None, support_idx):
+    system = assemble_loewner(samples, support_idx, parity)
+    if far is None:
+        return system
+    return append_far_field_rows(system, far, parity, samples.points[support_idx])
 
-    Iterates greedy support selection and the Loewner least-squares solve
-    until the max residual over the remaining samples drops below
-    rel_tol * max|f|, or an order cap is hit (max_order or half the sample
-    count).  Returns the model from the last iteration; ``converged`` is
-    False when the caps ended the loop first.
+
+def solve_weights(build, support_idx):
+    """One weight solve on the system ``build(support_idx)``.
+
+    Returns the weights, the active (non-support) rows and the absolute
+    residuals of the rational there.  The system is released on return, so
+    a loop never holds two steps' systems at once.
+    """
+    system = build(support_idx)
+    weights = min_singular_direction(system.matrix)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (system.cauchy @ (weights * system.s_f)) / (system.cauchy @ weights)
+    return weights, system.active_rows, np.abs(system.s_F - r)
+
+
+def greedy(samples: SampleSet, build, rel_tol: float, max_order: int):
+    """Greedy support selection around :func:`solve_weights`.
+
+    Each step adds the sample with the largest residual to the support and
+    re-solves, until the max residual over the remaining samples drops below
+    rel_tol * max|f| or an order cap is hit (max_order or half the sample
+    count).  Returns (support indices, weights, err_history, scale,
+    converged) of the last step.
     """
     M = samples.size
     if M < 4:
         raise ValueError("need at least 4 samples")
-    pts, vals = samples.points, samples.values
+    vals = samples.values
     scale = float(np.max(np.abs(vals)))
-    cap = min(config.max_order, M // 2)
-
     resid = np.abs(vals - np.mean(vals))
     active = np.ones(M, dtype=bool)
     support: list[int] = []
     err_history: list[float] = []
-    converged = False
     weights = None
-
-    for _ in range(cap):
+    for _ in range(min(max_order, M // 2)):
         pick = int(np.argmax(np.where(active, resid, -1.0)))
         support.append(pick)
         active[pick] = False
-        system = assemble_loewner(samples, support, config.parity)
-        if config.far_field is not None:
-            system = append_far_field_rows(
-                system, config.far_field, config.parity, pts[support]
-            )
-        weights = min_singular_direction(system.matrix)
-        fj = vals[support]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r_active = (system.cauchy @ (weights * fj)) / (system.cauchy @ weights)
-        res_active = np.abs(vals[system.active_rows] - r_active)
-        resid[system.active_rows] = np.where(
-            np.isfinite(res_active), res_active, np.inf
-        )
-        err = float(np.max(resid[system.active_rows]))
-        err_history.append(err)
-        if err <= config.rel_tol * scale:
-            converged = True
-            break
+        weights, rows, res = solve_weights(build, support)
+        resid[rows] = np.where(np.isfinite(res), res, np.inf)
+        err_history.append(float(np.max(resid[rows])))
+        if err_history[-1] <= rel_tol * scale:
+            return support, weights, np.asarray(err_history), scale, True
+    return support, weights, np.asarray(err_history), scale, False
 
+
+def fit(samples: SampleSet, config: FitConfig = FitConfig()) -> TrigModel:
+    """Fit a trigonometric barycentric rational to scattered samples.
+
+    Runs :func:`greedy` on the trigonometric Loewner system, plus the
+    far-field rows when config.far_field is set.  Returns the model from the
+    last iteration; ``converged`` is False when the caps ended the loop
+    first.
+    """
+    build = partial(_trig_system, samples, config.parity, config.far_field)
+    support, weights, history, scale, converged = greedy(
+        samples, build, config.rel_tol, config.max_order
+    )
     model = TrigModel(
         config.parity,
-        pts[support],
-        vals[support],
+        samples.points[support],
+        samples.values[support],
         weights,
-        np.asarray(err_history),
+        history,
         scale,
         converged=converged,
     )
@@ -174,9 +202,9 @@ def cleanup(model: TrigModel, samples: SampleSet, config: FitConfig) -> TrigMode
     """Remove support points backing small-residue (Froissart) poles.
 
     Poles whose classical residue falls below cleanup_tol * scale mark their
-    nearest support point for removal; a single final least-squares solve on
-    the reduced support produces the returned model.  A model with no small
-    residues is returned unchanged.
+    nearest support point for removal; a single final :func:`solve_weights`
+    on the reduced support produces the returned model.  A model with no
+    small residues is returned unchanged.
     """
     if model.m < 2:
         return model
@@ -210,21 +238,13 @@ def cleanup(model: TrigModel, samples: SampleSet, config: FitConfig) -> TrigMode
         return replace(model, cleanup_warning=True)
 
     support_idx = _support_sample_indices(model, samples)[keep]
-    system = assemble_loewner(samples, support_idx, model.parity)
-    if config.far_field is not None:
-        system = append_far_field_rows(
-            system, config.far_field, model.parity, samples.points[support_idx]
-        )
-    weights = min_singular_direction(system.matrix)
-    fj = samples.values[support_idx]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r_active = (system.cauchy @ (weights * fj)) / (system.cauchy @ weights)
-    err = float(np.max(np.abs(samples.values[system.active_rows] - r_active)))
-    history = np.append(model.err_history[: len(keep) - 1], err)
+    build = partial(_trig_system, samples, model.parity, config.far_field)
+    weights, _, res = solve_weights(build, support_idx)
+    history = np.append(model.err_history[: len(keep) - 1], float(np.max(res)))
     return TrigModel(
         model.parity,
         samples.points[support_idx],
-        fj,
+        samples.values[support_idx],
         weights,
         history,
         model.scale,

@@ -13,9 +13,11 @@ canonical strip 0 <= Re(z) < 2*pi.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 
 TWO_PI = 2.0 * np.pi
 
@@ -129,62 +131,34 @@ def cst_derivatives(parity: Parity, u, order: int) -> np.ndarray:
     """
     u = np.asarray(u, dtype=complex)
     cot_u = _cst_values(Parity.EVEN, u)
+    odd = parity is Parity.ODD
     out = np.empty((order + 1,) + u.shape, dtype=complex)
     with np.errstate(invalid="ignore", over="ignore"):
-        if parity is Parity.ODD:
-            csc_u = _cst_values(Parity.ODD, u)
-            for q, poly in enumerate(_csc_factor_polys(order)):
-                out[q] = csc_u * _polyval(poly, cot_u)
-        else:
-            polys = _cot_derivative_polys(order)
-            out[0] = cot_u
-            for q in range(1, order + 1):
-                out[q] = _polyval(polys[q], cot_u)
+        for q, poly in enumerate(derivative_polys("csc" if odd else "cot", order)):
+            out[q] = P.polyval(cot_u, poly)
+        if odd:
+            out = _cst_values(Parity.ODD, u) * out
     return out
 
 
-def _polyval(coeffs, x):
-    # Horner's rule with ascending coefficients.
-    acc = np.zeros_like(x) + coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = acc * x + c
-    return acc
+# d^q/du^q of a kernel is P_q(x) (times csc u for csc), x = cot u or tan u,
+# with P_{q+1} = a*P_q + g*P_q'.  Entries are (P_0, a, g), ascending.
+_DERIVATIVE_RECURRENCES = {
+    "cot": ([0.0, 1.0], [0.0], [-1.0, 0.0, -1.0]),
+    "csc": ([1.0], [0.0, -1.0], [-1.0, 0.0, -1.0]),
+    "tan": ([0.0, 1.0], [0.0], [1.0, 0.0, 1.0]),
+}
 
 
-def _polyder(coeffs):
-    return [k * coeffs[k] for k in range(1, len(coeffs))] or [0.0]
-
-
-def _polymul(a, b):
-    out = [0.0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def _cot_derivative_polys(order):
-    """P_q with d^q/du^q cot(u) = P_q(cot u); P_0(x) = x, P' chain -(1+x^2)."""
-    polys = [[0.0, 1.0]]
-    for _ in range(order):
-        polys.append(_polymul(_polyder(polys[-1]), [-1.0, 0.0, -1.0]))
-    return polys
-
-
-def _csc_factor_polys(order):
-    """Q_q with d^q/du^q csc(u) = csc(u) * Q_q(cot u)."""
-    polys = [[1.0]]
-    for _ in range(order):
-        q = polys[-1]
-        term1 = _polymul([0.0, -1.0], q)
-        term2 = _polymul([-1.0, 0.0, -1.0], _polyder(q))
-        n = max(len(term1), len(term2))
-        polys.append([
-            (term1[k] if k < len(term1) else 0.0)
-            + (term2[k] if k < len(term2) else 0.0)
-            for k in range(n)
-        ])
-    return polys
+@functools.lru_cache(maxsize=None)
+def derivative_polys(kernel: str, order: int) -> tuple:
+    """P_0..P_order of the kernel's derivative recurrence (see above)."""
+    p0, a, g = _DERIVATIVE_RECURRENCES[kernel]
+    if order == 0:
+        return (np.asarray(p0),)
+    polys = derivative_polys(kernel, order - 1)
+    p = polys[-1]
+    return polys + (P.polyadd(P.polymul(a, p), P.polymul(g, P.polyder(p))),)
 
 
 @dataclass(frozen=True)

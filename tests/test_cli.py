@@ -232,6 +232,36 @@ class TestCommands:
         assert main(["fit", "--data", str(data), "--out", str(tmp_path / "x")]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model_doc, points_doc", [
+        ({"schema_version": 1}, {"points": [[0.5, 0.0]]}),
+        ([1, 2], {"points": [[0.5, 0.0]]}),
+        (None, {"pts": []}),
+        (None, [1, 2]),
+    ])
+    def test_malformed_json_files_exit_code(self, tmp_path, capsys, model_doc, points_doc):
+        mp, pp = tmp_path / "m.json", tmp_path / "p.json"
+        if model_doc is None:
+            write_model(str(mp), TrigModel.build(Parity.ODD, [0.0, np.pi], [1.0, -1.0], [1.0, 1.0]))
+        else:
+            mp.write_text(json.dumps(model_doc))
+        pp.write_text(json.dumps(points_doc))
+        assert main(["eval", "--model", str(mp), "--format", "json", "--points", str(pp),
+                     "--out", str(tmp_path / "e")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("aaatrig: error: ")
+
+    def test_memory_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        from aaatrig import solver
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(solver, "fit", out_of_memory)
+        data = tmp_path / "c.csv"
+        constant_csv(data)
+        assert main(["fit", "--data", str(data), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.splitlines() == ["aaatrig: error: MemoryError"]
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["fit"])  # missing required flags

@@ -97,6 +97,22 @@ class TestCstDerivatives:
             assert abs(d[1] - fd1) < 1e-8 * (1 + abs(fd1))
             assert abs(d[2] - fd2) < 1e-5 * (1 + abs(fd2))
 
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_orders_three_and_four_closed_forms(self, parity):
+        rng = np.random.default_rng(2)
+        u = rng.uniform(0.3, 2.8, 20) + 1j * rng.uniform(-0.5, 0.5, 20)
+        x = np.cos(u) / np.sin(u)
+        if parity is Parity.ODD:
+            csc = 1 / np.sin(u)
+            third = -csc * x * (5 + 6 * x**2)
+            fourth = csc * (5 + 28 * x**2 + 24 * x**4)
+        else:
+            third = -2 * (1 + x**2) * (1 + 3 * x**2)
+            fourth = 8 * x * (1 + x**2) * (2 + 3 * x**2)
+        d = cst_derivatives(parity, u, 4)
+        assert np.all(np.abs(d[3] - third) <= 1e-12 * (1 + np.abs(third)))
+        assert np.all(np.abs(d[4] - fourth) <= 1e-12 * (1 + np.abs(fourth)))
+
 
 class TestEvaluate:
     def test_constant_single_term(self):
