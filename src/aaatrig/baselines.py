@@ -9,7 +9,6 @@ the kernel of its Loewner system differs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -53,9 +52,8 @@ class FourierInterpolant:
 def aaa_fit(samples: SampleSet, rel_tol: float = 1e-13, max_order: int = 100) -> AaaModel:
     """Classic AAA greedy fit: the trigonometric solver's greedy loop with
     the kernel 1/(z - z_j) and no strip projection."""
-    build = partial(solver.loewner_system, samples, kernel=lambda d: 1.0 / d)
     support, weights, history, scale, converged = solver.greedy(
-        samples, build, rel_tol, max_order
+        samples, lambda d: 1.0 / d, rel_tol, max_order
     )
     return AaaModel(
         samples.points[support],

@@ -350,6 +350,14 @@ def cmd_lightning_demo(args) -> int:
 # Argument parsing
 
 
+def _period(text: str) -> float:
+    """argparse type of --period: a finite positive float."""
+    period = float(text)
+    if not (np.isfinite(period) and period > 0.0):
+        raise argparse.ArgumentTypeError(f"period must be a finite positive number, got {text!r}")
+    return period
+
+
 def _add_common(p: argparse.ArgumentParser, data: bool = False, model: bool = False,
                 points: bool = False) -> None:
     if data:
@@ -359,7 +367,7 @@ def _add_common(p: argparse.ArgumentParser, data: bool = False, model: bool = Fa
     if points:
         p.add_argument("--points", required=True, help="points file")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--period", type=float, default=TWO_PI)
+    p.add_argument("--period", type=_period, default=TWO_PI)
     p.add_argument("--out", required=True, help="output path prefix")
 
 

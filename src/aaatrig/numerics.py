@@ -26,7 +26,9 @@ def min_singular_direction(A) -> np.ndarray:
 
     Returns a unit vector w minimising ||A w||_2 over the unit sphere.  The
     phase is fixed so that the largest-magnitude entry is real positive,
-    which keeps downstream output deterministic.
+    which keeps downstream output deterministic.  Uses the thin SVD, so a
+    tall rows x cols matrix costs O(rows*cols) memory: the left singular
+    vectors are never formed beyond the first cols columns.
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     if not np.all(np.isfinite(A.real) & np.isfinite(A.imag)):
@@ -34,7 +36,7 @@ def min_singular_direction(A) -> np.ndarray:
     rows, cols = A.shape
     if cols < 1 or rows < cols:
         raise ValueError("need rows >= cols >= 1")
-    _, _, vh = np.linalg.svd(A)
+    _, _, vh = np.linalg.svd(A, full_matrices=False)
     w = vh[-1].conj()
     j = int(np.argmax(np.abs(w)))
     w = w * (abs(w[j]) / w[j])

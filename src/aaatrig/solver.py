@@ -3,14 +3,17 @@
 The loop alternates greedy support selection with a least-squares solve for
 the weights: at step m the sample with the largest residual joins the
 support, the Loewner matrix is assembled over the remaining samples, and
-the weights are the right singular vector of its smallest singular value.
-One greedy routine (:func:`greedy`) and one solve step
+the weights are the right singular vector of its smallest singular value
+(a thin SVD).  One greedy routine (:func:`greedy`) and one solve step
 (:func:`solve_weights`) serve :func:`fit`, the re-solve in :func:`cleanup`
-and the classic AAA baseline; callers differ only in how a step's system is
-assembled.  The trigonometric fit uses the cst kernel, with optional
-far-field constraint rows that pin the approximant's values at
-+-i*infinity; an optional cleanup pass removes spurious pole-zero pairs
-(Froissart doublets) after termination.
+and the classic AAA baseline; callers differ only in the kernel and the
+optional far-field rows they pass.  The greedy keeps the kernel column of
+each support point from one step to the next, so a step costs one new
+column of kernel values and O(M*m) memory for M samples at order m.  The
+trigonometric fit uses the cst kernel, with optional far-field constraint
+rows that pin the approximant's values at +-i*infinity; an optional cleanup
+pass removes spurious pole-zero pairs (Froissart doublets) after
+termination.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ def loewner_system(samples: SampleSet, support_idx, kernel) -> LeastSquaresSyste
 
 def assemble_loewner(samples: SampleSet, support_idx, parity: Parity) -> LeastSquaresSystem:
     """Trigonometric Loewner matrix: the kernel is cst((Z_k - z_j)/2)."""
-    return loewner_system(samples, support_idx, lambda d: _cst_values(parity, d / 2.0))
+    return loewner_system(samples, support_idx, _trig_kernel(parity))
 
 
 def append_far_field_rows(
@@ -108,47 +111,73 @@ def append_far_field_rows(
     Odd parity appends two rows with entries (f_inf^+- - f_j) e^{-+i z_j/2};
     even parity appends the single row f_inf - f_j.
     """
-    zj = np.asarray(support, dtype=complex)
-    fj = system.s_f
-    if parity is Parity.ODD:
-        rows = np.vstack([
-            (target.f_plus - fj) * np.exp(-1j * zj / 2.0),
-            (target.f_minus - fj) * np.exp(1j * zj / 2.0),
-        ])
-    else:
-        rows = (target.f_plus - fj)[None, :]
+    rows = _far_field_rows(target, parity, np.asarray(support, dtype=complex), system.s_f)
     return replace(system, matrix=np.vstack([system.matrix, rows]))
 
 
-def _trig_system(samples: SampleSet, parity: Parity, far: FarField | None, support_idx):
-    system = assemble_loewner(samples, support_idx, parity)
-    if far is None:
-        return system
-    return append_far_field_rows(system, far, parity, samples.points[support_idx])
+def _far_field_rows(target: FarField, parity: Parity, zj, fj) -> np.ndarray:
+    """The far-field constraint rows for support points zj with values fj."""
+    if parity is Parity.ODD:
+        return np.vstack([
+            (target.f_plus - fj) * np.exp(-1j * zj / 2.0),
+            (target.f_minus - fj) * np.exp(1j * zj / 2.0),
+        ])
+    return (target.f_plus - fj)[None, :]
 
 
-def solve_weights(build, support_idx):
-    """One weight solve on the system ``build(support_idx)``.
+def _trig_kernel(parity: Parity):
+    """The cst((Z_k - z_j)/2) kernel of the trigonometric Loewner system."""
+    return lambda d: _cst_values(parity, d / 2.0)
 
-    Returns the weights, the active (non-support) rows and the absolute
-    residuals of the rational there.  The system is released on return, so
-    a loop never holds two steps' systems at once.
+
+def _far_rows(target: FarField | None, parity: Parity):
+    return None if target is None else partial(_far_field_rows, target, parity)
+
+
+def solve_weights(samples: SampleSet, support_idx, columns, far_rows=None):
+    """One weight solve on the Loewner system of a support.
+
+    ``columns`` holds the kernel values kernel(Z_k - z_j) over all M samples
+    (row k) for each support point (column j).  The matrix over the
+    non-support rows is (F_k - f_j) * columns, with ``far_rows(z_j, f_j)``
+    appended when given; it equals what :func:`loewner_system` and
+    :func:`append_far_field_rows` assemble.  Returns the weights, the active
+    (non-support) rows and the absolute residuals of the rational there.
     """
-    system = build(support_idx)
-    weights = min_singular_direction(system.matrix)
+    support_idx = np.asarray(support_idx, dtype=int)
+    active = np.ones(samples.size, dtype=bool)
+    active[support_idx] = False
+    rows = np.flatnonzero(active)
+    fj = samples.values[support_idx]
+    F = samples.values[rows]
+    C = columns[rows]
+    A = (F[:, None] - fj[None, :]) * C
+    if far_rows is not None:
+        A = np.vstack([A, far_rows(samples.points[support_idx], fj)])
+    weights = min_singular_direction(A)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = (system.cauchy @ (weights * system.s_f)) / (system.cauchy @ weights)
-    return weights, system.active_rows, np.abs(system.s_F - r)
+        r = (C @ (weights * fj)) / (C @ weights)
+    return weights, rows, np.abs(F - r)
 
 
-def greedy(samples: SampleSet, build, rel_tol: float, max_order: int):
+def kernel_columns(samples: SampleSet, support_idx, kernel) -> np.ndarray:
+    """kernel(Z_k - z_j) for every sample k (rows) and support point j."""
+    pts = samples.points
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return kernel(pts[:, None] - pts[np.asarray(support_idx, dtype=int)][None, :])
+
+
+def greedy(samples: SampleSet, kernel, rel_tol: float, max_order: int, far_rows=None):
     """Greedy support selection around :func:`solve_weights`.
 
     Each step adds the sample with the largest residual to the support and
     re-solves, until the max residual over the remaining samples drops below
     rel_tol * max|f| or an order cap is hit (max_order or half the sample
-    count).  Returns (support indices, weights, err_history, scale,
-    converged) of the last step.
+    count).  The kernel columns of earlier support points are kept from step
+    to step, so a step evaluates the kernel only for the new point's column
+    (M calls); the column buffer doubles as the order grows, so memory is
+    O(M*m) in the order m reached.  Returns (support indices, weights,
+    err_history, scale, converged) of the last step.
     """
     M = samples.size
     if M < 4:
@@ -160,11 +189,18 @@ def greedy(samples: SampleSet, build, rel_tol: float, max_order: int):
     support: list[int] = []
     err_history: list[float] = []
     weights = None
-    for _ in range(min(max_order, M // 2)):
+    cap = min(max_order, M // 2)
+    columns = np.empty((M, 0), dtype=complex)
+    for m in range(1, cap + 1):
         pick = int(np.argmax(np.where(active, resid, -1.0)))
         support.append(pick)
         active[pick] = False
-        weights, rows, res = solve_weights(build, support)
+        if m > columns.shape[1]:
+            grown = np.empty((M, min(2 * m, cap)), dtype=complex)
+            grown[:, : m - 1] = columns[:, : m - 1]
+            columns = grown
+        columns[:, m - 1] = kernel_columns(samples, [pick], kernel)[:, 0]
+        weights, rows, res = solve_weights(samples, support, columns[:, :m], far_rows)
         resid[rows] = np.where(np.isfinite(res), res, np.inf)
         err_history.append(float(np.max(resid[rows])))
         if err_history[-1] <= rel_tol * scale:
@@ -180,9 +216,12 @@ def fit(samples: SampleSet, config: FitConfig = FitConfig()) -> TrigModel:
     last iteration; ``converged`` is False when the caps ended the loop
     first.
     """
-    build = partial(_trig_system, samples, config.parity, config.far_field)
     support, weights, history, scale, converged = greedy(
-        samples, build, config.rel_tol, config.max_order
+        samples,
+        _trig_kernel(config.parity),
+        config.rel_tol,
+        config.max_order,
+        _far_rows(config.far_field, config.parity),
     )
     model = TrigModel(
         config.parity,
@@ -238,8 +277,10 @@ def cleanup(model: TrigModel, samples: SampleSet, config: FitConfig) -> TrigMode
         return replace(model, cleanup_warning=True)
 
     support_idx = _support_sample_indices(model, samples)[keep]
-    build = partial(_trig_system, samples, model.parity, config.far_field)
-    weights, _, res = solve_weights(build, support_idx)
+    columns = kernel_columns(samples, support_idx, _trig_kernel(model.parity))
+    weights, _, res = solve_weights(
+        samples, support_idx, columns, _far_rows(config.far_field, model.parity)
+    )
     history = np.append(model.err_history[: len(keep) - 1], float(np.max(res)))
     return TrigModel(
         model.parity,

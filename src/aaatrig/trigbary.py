@@ -29,6 +29,9 @@ LARGE_IMAG = 20.0
 # the interpolated value; double precision cannot resolve the basis closer.
 SUPPORT_TOL = 1e-13
 
+# Points per block in evaluate_batch; bounds its block-by-support temporaries.
+EVAL_BLOCK = 8192
+
 # Returned by evaluate() when the denominator vanishes exactly off-support.
 POLE_VALUE = complex(np.inf, np.inf)
 
@@ -292,7 +295,11 @@ def evaluate(model: TrigModel, z: complex) -> complex:
 
 
 def evaluate_batch(model: TrigModel, zs) -> np.ndarray:
-    """Elementwise evaluation preserving input order."""
+    """Elementwise evaluation preserving input order.
+
+    Points are evaluated in blocks of EVAL_BLOCK, so the block-by-support
+    temporaries take O(EVAL_BLOCK * m) memory whatever the number of points.
+    """
     zs = np.asarray(zs, dtype=complex)
     flat = np.atleast_1d(zs).ravel()
     if flat.size == 0:
@@ -300,19 +307,27 @@ def evaluate_batch(model: TrigModel, zs) -> np.ndarray:
     if not np.all(np.isfinite(flat.real) & np.isfinite(flat.imag)):
         raise ValueError("non-finite sample point")
     zc = _canonicalize_array(flat)
+    out = np.empty(flat.shape, dtype=complex)
+    for start in range(0, zc.size, EVAL_BLOCK):
+        block = slice(start, start + EVAL_BLOCK)
+        out[block] = _evaluate_block(model, zc[block])
+    return out.reshape(zs.shape)
+
+
+def _evaluate_block(model, zc):
     diff = zc[:, None] - model.support[None, :]
     prox = np.minimum.reduce(
         [np.abs(diff), np.abs(diff - TWO_PI), np.abs(diff + TWO_PI)]
     )
     near = prox < SUPPORT_TOL
-    out = np.empty(flat.shape, dtype=complex)
+    out = np.empty(zc.shape, dtype=complex)
     hit = near.any(axis=1)
     if np.any(hit):
         out[hit] = model.fvals[np.argmax(near[hit], axis=1)]
     todo = ~hit
     if np.any(todo):
         out[todo] = _eval_ratio(model, zc[todo], diff[todo])
-    return out.reshape(zs.shape)
+    return out
 
 
 def _eval_ratio(model, zc, diff):

@@ -4,6 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 pass/fail lines and timings.
 """
 
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -162,6 +165,23 @@ def test_criterion_4_froissart_cleanup():
         f"doublets {before} -> {after}, m {model.m} -> {cleaned.m}, err={final_err:.2e}",
     )
     assert ok
+
+
+def test_criterion_4_single_blas_thread():
+    # The census is sensitive to rounding in the weight solve; run the same
+    # criterion with one BLAS thread in a fresh interpreter, where the thread
+    # count takes effect.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    node = f"{__file__}::test_criterion_4_froissart_cleanup"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider", node],
+        cwd=os.path.dirname(os.path.dirname(__file__)),
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert run.returncode == 0, run.stdout[-2000:]
 
 
 def test_criterion_5_pole_zero_oracle():

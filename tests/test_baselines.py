@@ -10,7 +10,8 @@ from aaatrig.baselines import (
     fft_least_squares_errors,
     rectangle_samples,
 )
-from aaatrig.solver import FitConfig, fit
+from aaatrig.numerics import min_singular_direction
+from aaatrig.solver import FitConfig, fit, loewner_system
 from aaatrig.trigbary import SampleSet, TWO_PI
 
 
@@ -45,6 +46,16 @@ class TestAaa:
         trig = fit(ss, FitConfig(cleanup=False))
         aaa = aaa_fit(ss)
         assert aaa.m < trig.m
+
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_cached_columns_match_assembled_system(self, k):
+        ss = rectangle_samples(lambda z: np.exp(np.sin(z)), 300, seed=1)
+        model = aaa_fit(ss, rel_tol=0.0, max_order=k)
+        assert model.m == k
+        idx = [int(np.argmin(np.abs(ss.points - s))) for s in model.support]
+        system = loewner_system(ss, idx, lambda d: 1.0 / d)
+        assert np.array_equal(model.weights, min_singular_direction(system.matrix))
 
 
 class TestFourier:

@@ -262,6 +262,16 @@ class TestCommands:
         assert main(["fit", "--data", str(data), "--out", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err.splitlines() == ["aaatrig: error: MemoryError"]
 
+    @pytest.mark.parametrize("period", ["-1", "0", "nan", "inf"])
+    def test_bad_period_is_usage_error(self, tmp_path, capsys, period):
+        data = tmp_path / "c.csv"
+        constant_csv(data)
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--data", str(data), "--period", period, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "--period" in capsys.readouterr().err
+        assert not (tmp_path / "x.model.json").exists()
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["fit"])  # missing required flags

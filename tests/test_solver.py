@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from aaatrig.numerics import min_singular_direction
 from aaatrig.polezero import poles_and_zeros, residues
 from aaatrig.solver import (
     FitConfig,
@@ -187,6 +190,41 @@ class TestFit:
         got = far_field(model)
         assert abs(got.f_plus - target.f_plus) <= 1e-6 * (1 + abs(target.f_plus))
         assert abs(got.f_minus - target.f_minus) <= 1e-6 * (1 + abs(target.f_minus))
+
+
+class TestGreedyCore:
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("parity, target", [
+        (Parity.ODD, None),
+        (Parity.EVEN, FarField(0.0, 0.0)),
+    ])
+    def test_cached_columns_match_assembled_system(self, k, parity, target):
+        x = TWO_PI * np.arange(400) / 400
+        ss = SampleSet.from_data(x, np.tanh(20 * np.cos(x)))
+        config = FitConfig(parity=parity, far_field=target, max_order=k, rel_tol=0.0,
+                           cleanup=False)
+        model = fit(ss, config)
+        assert model.m == k
+        idx = [int(np.argmin(np.abs(ss.points - s))) for s in model.support]
+        system = assemble_loewner(ss, idx, parity)
+        if target is not None:
+            system = append_far_field_rows(system, target, parity, ss.points[idx])
+        assert np.array_equal(model.weights, min_singular_direction(system.matrix))
+
+    @pytest.mark.parametrize("func, max_order", [
+        (lambda x: np.tanh(20 * np.cos(x)), 20),
+        (lambda x: np.exp(np.sin(x)), 10**6),  # converges early; no buffer at the cap
+    ], ids=["tanh-capped", "exp-sin-early"])
+    def test_fit_memory_linear_in_samples(self, func, max_order):
+        x = TWO_PI * np.arange(3000) / 3000
+        ss = SampleSet.from_data(x, func(x))
+        tracemalloc.start()
+        try:
+            fit(ss, FitConfig(max_order=max_order, cleanup=False))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestCleanup:

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from aaatrig.trigbary import (
+    EVAL_BLOCK,
     FarField,
     Parity,
     SampleSet,
@@ -167,6 +170,35 @@ class TestEvaluate:
             np.linspace(0.1, 6.0, 10).astype(complex),
         )
         assert np.allclose(grid, 2.0 - 1j, atol=1e-13)
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_batch_blocks_match_small_batches(self, parity):
+        rng = np.random.default_rng(10)
+        model = random_model(rng, 6, parity)
+        n = 2 * EVAL_BLOCK + 7
+        zs = rng.uniform(0, TWO_PI, n) + 1j * rng.uniform(-1, 1, n)
+        zs[::97] += 1j * rng.uniform(-80, 80, len(zs[::97]))  # far field
+        zs[EVAL_BLOCK - 3 : EVAL_BLOCK + 3] = model.support[0]  # across a block edge
+        whole = evaluate_batch(model, zs.reshape(-1, 1))
+        pieces = np.concatenate([evaluate_batch(model, zs[i : i + 1000])
+                                 for i in range(0, n, 1000)])
+        assert whole.shape == (n, 1)
+        # BLAS may round a far-field row differently in a batch of another size.
+        np.testing.assert_allclose(whole.ravel(), pieces, rtol=1e-14, atol=0.0)
+
+    def test_batch_memory_bounded(self):
+        rng = np.random.default_rng(11)
+        m, n = 54, 200_000
+        model = TrigModel.build(Parity.ODD, rng.uniform(0, TWO_PI, m),
+                                rng.standard_normal(m), rng.standard_normal(m))
+        zs = rng.uniform(0, TWO_PI, n) + 1j * rng.uniform(-1, 1, n)
+        tracemalloc.start()
+        try:
+            evaluate_batch(model, zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
 
     def test_periodicity(self):
         rng = np.random.default_rng(7)
