@@ -13,10 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solver
-from .trigbary import SampleSet, TWO_PI
-
-# Proximity at which AAA evaluation short-circuits to the support value.
-_AAA_SUPPORT_TOL = 1e-13
+from .trigbary import SampleSet, TWO_PI, barycentric_ratio
 
 
 @dataclass(frozen=True)
@@ -68,18 +65,9 @@ def aaa_fit(samples: SampleSet, rel_tol: float = 1e-13, max_order: int = 100) ->
 def evaluate_aaa(model: AaaModel, zs) -> np.ndarray:
     """Evaluate the classic barycentric rational elementwise."""
     zs = np.asarray(zs, dtype=complex)
-    flat = np.atleast_1d(zs).ravel()
-    diff = flat[:, None] - model.support[None, :]
-    near = np.abs(diff) < _AAA_SUPPORT_TOL
-    out = np.empty(flat.shape, dtype=complex)
-    hit = near.any(axis=1)
-    if np.any(hit):
-        out[hit] = model.fvals[np.argmax(near[hit], axis=1)]
-    todo = ~hit
-    if np.any(todo):
-        C = 1.0 / diff[todo]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[todo] = (C @ (model.weights * model.fvals)) / (C @ model.weights)
+    diff = np.atleast_1d(zs).ravel()[:, None] - model.support[None, :]
+    # Kernel 1/(z - z_j); a support hit is |z - z_j| < SUPPORT_TOL.
+    out = barycentric_ratio(diff, 1.0, 1.0, model.weights, model.fvals)
     return out.reshape(zs.shape)
 
 

@@ -17,11 +17,11 @@ import numpy.polynomial.polynomial as P
 from .trigbary import (
     Parity,
     TrigModel,
-    _canonicalize_array,
     _cst_values,
+    blockwise,
     cst_derivatives,
     derivative_polys,
-    evaluate,
+    evaluate_batch,
     strip_distance,
 )
 
@@ -113,33 +113,39 @@ def diff_matrix(model: TrigModel, p: int) -> DiffMatrix:
     return DiffMatrix(p, mats[p])
 
 
-def derivative_at(model: TrigModel, z: complex, p: int) -> complex:
-    """p-th derivative of the rational at a point away from the support.
+def derivative_at(model: TrigModel, z, p: int):
+    """p-th derivative of the rational at points away from the support.
 
-    Evaluates the derivative recurrence built on kernel derivatives
-    (csc' = -csc*cot, cot' = -csc^2 chained to order p).  Points within
-    1e-8 of a support point must use :func:`diff_matrix` instead.
+    A scalar z gives a complex, an array z an array of its shape.  Evaluates
+    the derivative recurrence built on kernel derivatives (csc' = -csc*cot,
+    cot' = -csc^2 chained to order p).  Points within 1e-8 of a support
+    point must use :func:`diff_matrix` instead; any such point raises.
     """
     if p < 1:
         raise ValueError("derivative order must be positive")
     if p > MAX_ORDER:
         raise ValueError("unsupported order")
-    zc = complex(_canonicalize_array(np.asarray(z, dtype=complex)))
-    if float(np.min(strip_distance(zc, model.support))) < 1e-8:
+    out = blockwise(lambda zc: _derivative_block(model, zc, p), z)
+    return complex(out) if out.ndim == 0 else out
+
+
+def _derivative_block(model, zc, p):
+    if np.any(strip_distance(zc[:, None], model.support[None, :]) < 1e-8):
         raise ValueError("too close to a support point; use diff_matrix")
-    u = (zc - model.support) / 2.0
-    kernel = cst_derivatives(model.parity, u, p)
+    w = model.weights
+    kernel = cst_derivatives(model.parity, (zc[:, None] - model.support[None, :]) / 2.0, p)
     half = 0.5 ** np.arange(p + 1)
-    den = np.sum(model.weights * kernel[0])
-    derivs = [evaluate(model, zc)]
+    den = np.einsum("ij,j->i", kernel[0], w)
+    derivs = [evaluate_batch(model, zc)]
+    residual = model.fvals[None, :] - derivs[0][:, None]
     for order in range(1, p + 1):
         total = 0j
         for q in range(order):
-            kq = model.weights * (half[order - q] * kernel[order - q])
+            kq = half[order - q] * kernel[order - q]
             if q == 0:
-                inner = np.sum(kq * (model.fvals - derivs[0]))
+                inner = np.einsum("ij,j,ij->i", kq, w, residual)
             else:
-                inner = -derivs[q] * np.sum(kq)
+                inner = -derivs[q] * np.einsum("ij,j->i", kq, w)
             total += comb(order, q) * inner
         derivs.append(total / den)
-    return complex(derivs[p])
+    return derivs[p]

@@ -276,13 +276,13 @@ def cmd_poles(args) -> int:
 def cmd_diff(args) -> int:
     model = read_model(args.model)
     pts = read_points(args.points, args.format)
-    chain = (TWO_PI / args.period) ** args.order
-    rows = []
-    for p in pts:
-        d = calculus.derivative_at(model, complex(p) * (TWO_PI / args.period), args.order)
-        d *= chain
-        rows.append((p.real, p.imag, d.real, d.imag))
-    write_table(args.out + ".derivs.tsv", ["re_z", "im_z", "re_df", "im_df"], rows)
+    derivs = calculus.derivative_at(model, _scale_in(pts, args.period), args.order)
+    derivs = derivs * (TWO_PI / args.period) ** args.order
+    write_table(
+        args.out + ".derivs.tsv",
+        ["re_z", "im_z", "re_df", "im_df"],
+        [(p.real, p.imag, d.real, d.imag) for p, d in zip(pts, derivs)],
+    )
     return 0
 
 

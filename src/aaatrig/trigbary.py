@@ -25,8 +25,9 @@ TWO_PI = 2.0 * np.pi
 # representations (direct evaluation overflows near |Im| ~ 710).
 LARGE_IMAG = 20.0
 
-# Proximity (strip chordal distance) at which evaluation short-circuits to
-# the interpolated value; double precision cannot resolve the basis closer.
+# Kernel difference (|z - z_j| to first order, over the 2*pi shifts) below
+# which evaluation short-circuits to the interpolated value; double
+# precision cannot resolve the basis closer.
 SUPPORT_TOL = 1e-13
 
 # Points per block in evaluate_batch; bounds its block-by-support temporaries.
@@ -297,72 +298,76 @@ def evaluate(model: TrigModel, z: complex) -> complex:
 def evaluate_batch(model: TrigModel, zs) -> np.ndarray:
     """Elementwise evaluation preserving input order.
 
-    Points are evaluated in blocks of EVAL_BLOCK, so the block-by-support
-    temporaries take O(EVAL_BLOCK * m) memory whatever the number of points.
+    A point's value does not depend on the batch it is in.
+    """
+    return blockwise(lambda zc: _evaluate_block(model, zc), zs)
+
+
+def blockwise(fn, zs) -> np.ndarray:
+    """fn applied to the canonicalized points of zs, EVAL_BLOCK at a time.
+
+    fn's block-by-support temporaries thus take O(EVAL_BLOCK * m) memory
+    whatever the number of points.  The result has the shape of zs.
+    Raises on non-finite points.
     """
     zs = np.asarray(zs, dtype=complex)
     flat = np.atleast_1d(zs).ravel()
-    if flat.size == 0:
-        return np.zeros(zs.shape, dtype=complex)
     if not np.all(np.isfinite(flat.real) & np.isfinite(flat.imag)):
         raise ValueError("non-finite sample point")
     zc = _canonicalize_array(flat)
     out = np.empty(flat.shape, dtype=complex)
     for start in range(0, zc.size, EVAL_BLOCK):
         block = slice(start, start + EVAL_BLOCK)
-        out[block] = _evaluate_block(model, zc[block])
+        out[block] = fn(zc[block])
     return out.reshape(zs.shape)
 
 
 def _evaluate_block(model, zc):
-    diff = zc[:, None] - model.support[None, :]
-    prox = np.minimum.reduce(
-        [np.abs(diff), np.abs(diff - TWO_PI), np.abs(diff + TWO_PI)]
-    )
-    near = prox < SUPPORT_TOL
+    # Rows with Im z >= 0 take s = +1, the others s = -1, so |e^{isz}| <= 1.
     out = np.empty(zc.shape, dtype=complex)
-    hit = near.any(axis=1)
-    if np.any(hit):
-        out[hit] = model.fvals[np.argmax(near[hit], axis=1)]
-    todo = ~hit
-    if np.any(todo):
-        out[todo] = _eval_ratio(model, zc[todo], diff[todo])
+    down = zc.imag < 0.0
+    for s, rows in ((1.0, ~down), (-1.0, down)):
+        out[rows] = _zeta_ratio(model, s, zc[rows])
     return out
 
 
-def _eval_ratio(model, zc, diff):
-    w, fv = model.weights, model.fvals
-    out = np.empty(zc.shape, dtype=complex)
+def _zeta_ratio(model, s, zc):
+    """The model as a classical barycentric rational in zeta = e^{isz}.
+
+    Up to a factor common to every j, which cancels in the ratio (Baddoo,
+    sec. 3), csc((z - z_j)/2) is e^{-isz_j/2} zeta_j/(zeta - zeta_j) and
+    cot((z - z_j)/2) is (zeta + zeta_j)/(zeta - zeta_j).  The kernels cost
+    exponentials of the points and of the support only; at zeta = 0 both
+    are -1, which is the far-field limit.  |zeta - zeta_j| / |zeta_j| is
+    |z - z_j| to first order, over the 2*pi shifts.
+    """
+    zeta = np.exp(s * 1j * zc)[:, None]
+    zeta_j = np.exp(s * 1j * model.support)
     if model.parity is Parity.ODD:
-        far = np.abs(zc.imag) > 2.0 * LARGE_IMAG
+        numer = zeta_j
+        weights = model.weights * np.exp(-s * 0.5j * model.support)
     else:
-        far = np.zeros(zc.shape, dtype=bool)
-    if np.any(~far):
-        terms = _cst_values(model.parity, diff[~far] / 2.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            num = terms @ (w * fv)
-            den = terms @ w
-            vals = num / den
-        vals[den == 0.0] = POLE_VALUE
-        out[~far] = vals
-    if np.any(far):
-        # Scaled terms: csc((z-z_j)/2) = e^{+-i z/2} g_j; the common factor
-        # cancels in the ratio, so neither overflow nor underflow occurs.
-        zf = zc[far]
-        df = diff[far]
-        up = zf.imag > 0
-        g = np.empty(df.shape, dtype=complex)
-        if np.any(up):
-            g[up] = 2j * np.exp(-1j * model.support[None, :] / 2.0) / (
-                np.exp(1j * df[up]) - 1.0
-            )
-        if np.any(~up):
-            g[~up] = 2j * np.exp(1j * model.support[None, :] / 2.0) / (
-                1.0 - np.exp(-1j * df[~up])
-            )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = (g @ (w * fv)) / (g @ w)
-        out[far] = vals
+        numer = zeta + zeta_j
+        weights = model.weights
+    return barycentric_ratio(zeta - zeta_j, np.abs(zeta_j), numer, weights, model.fvals)
+
+
+def barycentric_ratio(diff, scale, numer, weights, fvals) -> np.ndarray:
+    """sum_j f_j w_j K_j / sum_j w_j K_j per row, with kernel K = numer / diff.
+
+    diff holds each point's difference to each support point.  A row with
+    |diff_j| < SUPPORT_TOL * scale_j takes the support value f_j; a row
+    whose denominator vanishes exactly takes POLE_VALUE.  No product or sum
+    mixes rows, so a point's value does not depend on the batch it is in.
+    """
+    near = np.abs(diff) < SUPPORT_TOL * scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = numer / diff
+        den = np.einsum("ij,j->i", kernel, weights)
+        out = np.einsum("ij,j->i", kernel, weights * fvals) / den
+    out[den == 0.0] = POLE_VALUE
+    hit = near.any(axis=1)
+    out[hit] = fvals[np.argmax(near[hit], axis=1)]
     return out
 
 

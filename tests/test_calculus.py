@@ -155,9 +155,23 @@ class TestDerivativeAt:
         off_grid = derivative_at(model, model.support[3] + 1e-5, 1)
         assert abs(off_grid - on_grid) <= 1e-4 * abs(on_grid)
 
+    @pytest.mark.parametrize("parity", list(Parity))
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_array_matches_scalar_calls(self, parity, p):
+        rng = np.random.default_rng(15)
+        model = random_model(rng, 6, parity)
+        zs = (rng.uniform(0, TWO_PI, 40) + 1j * rng.uniform(-1, 1, 40)).reshape(8, 5)
+        vals = derivative_at(model, zs, p)
+        assert vals.shape == zs.shape
+        scalar = [derivative_at(model, z, p) for z in zs.ravel()]
+        assert all(isinstance(v, complex) for v in scalar)
+        np.testing.assert_allclose(vals.ravel(), scalar, rtol=1e-14, atol=0.0)
+
     def test_too_close_to_support(self):
         with pytest.raises(ValueError, match="diff_matrix"):
             derivative_at(odd_worked(), 1e-10, 1)
+        with pytest.raises(ValueError, match="diff_matrix"):
+            derivative_at(odd_worked(), [1.0, 2.0, np.pi + 1e-10], 1)
 
     def test_order_cap(self):
         with pytest.raises(ValueError, match="unsupported order"):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from aaatrig.calculus import derivative_at
 from aaatrig.cli import (
     ingest,
     main,
@@ -152,6 +153,22 @@ class TestCommands:
                      "--order", "1", "--out", str(out)]) == 0
         row = (tmp_path / "d.derivs.tsv").read_text().splitlines()[1].split("\t")
         assert abs(float(row[2]) - 0.5) < 1e-10
+
+    def test_diff_command_matches_derivative_at(self, tmp_path):
+        rng = np.random.default_rng(16)
+        model = TrigModel.build(Parity.EVEN, [0.5, 2.0, 3.5, 5.0], [1.0, -1.0, 2.0, 0.5j],
+                                [1.0, 0.5, -0.7, 0.2])
+        mp = tmp_path / "m.json"
+        write_model(str(mp), model)
+        zs = rng.uniform(0.0, 1.0, 50) + 1j * rng.uniform(-0.1, 0.1, 50)
+        pts = tmp_path / "pts.csv"
+        write_csv(pts, [(z.real, z.imag) for z in zs], header="re_z,im_z")
+        out = tmp_path / "d"
+        assert main(["diff", "--model", str(mp), "--points", str(pts), "--order", "2",
+                     "--period", "1.0", "--out", str(out)]) == 0
+        rows = np.loadtxt(tmp_path / "d.derivs.tsv", skiprows=1)
+        expected = [derivative_at(read_model(str(mp)), z * TWO_PI, 2) * TWO_PI**2 for z in zs]
+        np.testing.assert_allclose(rows[:, 2] + 1j * rows[:, 3], expected, rtol=1e-14, atol=0.0)
 
     def test_period_rescaling(self, tmp_path):
         # Data periodic with period 1; the model must reproduce values.

@@ -20,7 +20,7 @@ from aaatrig.trigbary import (
     strip_distance,
 )
 
-from conftest import random_model
+from conftest import barycentric_sum, random_model
 
 
 def worked_odd_model():
@@ -183,8 +183,18 @@ class TestEvaluate:
         pieces = np.concatenate([evaluate_batch(model, zs[i : i + 1000])
                                  for i in range(0, n, 1000)])
         assert whole.shape == (n, 1)
-        # BLAS may round a far-field row differently in a batch of another size.
-        np.testing.assert_allclose(whole.ravel(), pieces, rtol=1e-14, atol=0.0)
+        assert np.array_equal(whole.ravel(), pieces)
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    @pytest.mark.parametrize("m", [1, 6])
+    def test_single_point_matches_batch(self, parity, m):
+        rng = np.random.default_rng(12)
+        model = random_model(rng, m, parity)
+        zs = rng.uniform(0, TWO_PI, 300) + 1j * rng.uniform(-2, 2, 300)
+        zs[::10] += 1j * rng.uniform(-80, 80, 30)
+        zs[5] = model.support[0]
+        batch = evaluate_batch(model, zs)
+        assert np.array_equal(batch, [evaluate(model, z) for z in zs])
 
     def test_batch_memory_bounded(self):
         rng = np.random.default_rng(11)
@@ -221,6 +231,23 @@ class TestEvaluate:
         a = evaluate_batch(model, zs)
         b = evaluate_batch(scaled, zs)
         assert np.all(np.abs(a - b) <= 1e-13 * (1 + np.abs(a)))
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    @pytest.mark.parametrize("height", [5.0, 31.0])
+    def test_support_off_the_real_axis(self, parity, height):
+        # Support up to |Im z_j| = height against the direct csc/cot sum, at
+        # points beside, above and below it and far out in both directions.
+        rng = np.random.default_rng(13)
+        model = random_model(rng, 7, parity, im_range=height)
+        zs = np.concatenate([
+            model.support + 0.3,
+            rng.uniform(0, TWO_PI, 40) + 1j * rng.uniform(-height - 1, height + 1, 40),
+            rng.uniform(0, TWO_PI, 8) + 1j * np.array([1, -1] * 4) * (height + 9.0),
+        ])
+        num, _ = barycentric_sum(model, zs, use_numerator=True)
+        den, _ = barycentric_sum(model, zs)
+        ref = num / den
+        assert np.all(np.abs(evaluate_batch(model, zs) - ref) <= 1e-12 * (1 + np.abs(ref)))
 
     def test_canonicalize_consistency(self):
         rng = np.random.default_rng(9)
@@ -266,6 +293,19 @@ class TestFarField:
                 dn = evaluate(model, -60j)
                 assert abs(up - ff.f_plus) <= 1e-10 * (1 + abs(ff.f_plus))
                 assert abs(dn - ff.f_minus) <= 1e-10 * (1 + abs(ff.f_minus))
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    @pytest.mark.parametrize("height", [1e3, 1e5])
+    def test_consistency_far_out(self, parity, height):
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            model = random_model(rng, 5, parity)
+            ff = far_field(model)
+            x = rng.uniform(0, TWO_PI, 4)
+            up = evaluate_batch(model, x + 1j * height)
+            dn = evaluate_batch(model, x - 1j * height)
+            assert np.all(np.abs(up - ff.f_plus) <= 1e-10 * (1 + abs(ff.f_plus)))
+            assert np.all(np.abs(dn - ff.f_minus) <= 1e-10 * (1 + abs(ff.f_minus)))
 
 
 class TestInterpolatoryWeights:
