@@ -1,11 +1,11 @@
 """Pole, zero and residue extraction for trigonometric barycentric models.
 
-The barycentric form hides its poles and zeros; they are recovered by
-transforming to an ordinary rational function (exponential substitution for
-odd parity, tangent half-angle for even parity) and solving arrowhead
-generalized eigenvalue problems.  Denominator data yields the poles,
-numerator data the zeros; every candidate must pass a residual check
-against the untransformed model before it is reported.
+The barycentric form hides its poles and zeros; they are recovered through
+the change of variable zeta = e^{iz}, which turns either parity into an
+ordinary barycentric rational in zeta, and one arrowhead generalized
+eigenvalue problem per sum.  Denominator data yields the poles, numerator
+data the zeros; every candidate must pass a residual check against the
+untransformed model before it is reported.
 """
 
 from __future__ import annotations
@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    arrow_mass_matrix,
-    arrowhead_matrix,
-    generalized_eig,
-    generalized_eig_arrow,
-)
+from .numerics import arrowhead_matrix, generalized_eig_arrow
 from .trigbary import (
     Parity,
     TrigModel,
@@ -34,36 +29,25 @@ from .trigbary import (
 # accepted as a genuine pole/zero of the model.
 RESIDUAL_TOL = 1e-6
 
-# |z_j - pi| below which the even transform switches to the special pencil;
-# between this and NEAR_PI_GUARD the tangent is too inaccurate to proceed.
-PI_TOL = 1e-12
-NEAR_PI_GUARD = 1e-6
-
-KIND_ODD = "odd_exp"
-KIND_EVEN = "even_tan"
-KIND_EVEN_PI = "even_tan_pi"
-
 
 @dataclass(frozen=True)
 class TransformedBarycentric:
-    """Model data after the substitution that exposes poles and zeros.
+    """Model data in zeta = e^{iz}: each sum becomes head + sum_j a_j/(zeta - zeta_j).
 
-    odd_exp:      shifted_support = e^{i z_j}, shifted_weights = w_j e^{i z_j/2}.
-    even_tan:     shifted_support = tan(z_j/2), shifted_weights = w_j (1 + t_j^2);
-                  head_num/head_den are the rational form's constants c_n, c_d.
-    even_tan_pi:  support point at pi moved aside; head_num = -f_1 w_1,
-                  head_den = -w_1, with c_n, c_d (sums excluding j=1) in
-                  pi_cn / pi_cd.
+    shifted_support = zeta_j = e^{i z_j} for both parities.
+    odd:   csc((z - z_j)/2) = 2i e^{i(z + z_j)/2}/(zeta - zeta_j), so
+           shifted_weights = w_j e^{i z_j/2} and both heads are 0.
+    even:  cot((z - z_j)/2) = i (1 + 2 zeta_j/(zeta - zeta_j)), so
+           shifted_weights = 2 w_j zeta_j, head_den = sum_j w_j and
+           head_num = sum_j f_j w_j.
+    The numerator payload is fvals * shifted_weights.
     """
 
-    kind: str
     shifted_support: np.ndarray
     shifted_weights: np.ndarray
     fvals: np.ndarray
     head_num: complex
     head_den: complex
-    pi_cn: complex = 0j
-    pi_cd: complex = 0j
 
 
 @dataclass(frozen=True)
@@ -98,57 +82,14 @@ class PartialFractions:
 
 
 def transform(model: TrigModel) -> TransformedBarycentric:
-    """Substitute the model into ordinary rational form."""
+    """Substitute zeta = e^{iz} to reach ordinary barycentric form."""
     z, w, f = model.support, model.weights, model.fvals
+    zeta = np.exp(1j * z)
     if model.parity is Parity.ODD:
-        return TransformedBarycentric(
-            KIND_ODD, np.exp(1j * z), w * np.exp(1j * z / 2.0), f, 0j, 0j
-        )
-    d_pi = strip_distance(z, np.pi)
-    at_pi = np.flatnonzero(d_pi < PI_TOL)
-    if len(at_pi) > 1:
-        raise ValueError("multiple support points at pi")
-    if len(at_pi) == 0:
-        if np.any(d_pi < NEAR_PI_GUARD):
-            raise ValueError("near-pi support point, tighten threshold")
-        t = np.tan(z / 2.0)
-        wt = w * (1.0 + t * t)
-        # w~_j t_j / (1 + t_j^2) collapses to w_j t_j.
-        return TransformedBarycentric(
-            KIND_EVEN, t, wt, f, complex(np.sum(f * w * t)), complex(np.sum(w * t))
-        )
-    k = int(at_pi[0])
-    rest = np.concatenate([np.arange(k), np.arange(k + 1, model.m)])
-    if np.any(d_pi[rest] < NEAR_PI_GUARD):
-        raise ValueError("near-pi support point, tighten threshold")
-    zr, wr, fr = z[rest], w[rest], f[rest]
-    t = np.tan(zr / 2.0)
-    wt = wr * (1.0 + t * t)
+        return TransformedBarycentric(zeta, w * np.exp(1j * z / 2.0), f, 0j, 0j)
     return TransformedBarycentric(
-        KIND_EVEN_PI,
-        t,
-        wt,
-        fr,
-        complex(-f[k] * w[k]),
-        complex(-w[k]),
-        pi_cn=complex(np.sum(fr * wr * t)),
-        pi_cd=complex(np.sum(wr * t)),
+        zeta, 2.0 * w * zeta, f, complex(np.sum(f * w)), complex(np.sum(w))
     )
-
-
-def _pi_special_pencil(head, second, payload, shifts):
-    """Pencil for the rational form with an extra 1/t factor (support at pi)."""
-    payload = np.asarray(payload, dtype=complex)
-    shifts = np.asarray(shifts, dtype=complex)
-    n = len(payload) + 2
-    A = np.zeros((n, n), dtype=complex)
-    A[0, 0] = head
-    A[0, 1] = second
-    A[0, 2:] = payload
-    A[1, 0] = 1.0
-    A[2:, 1] = 1.0
-    A[2:, 2:] = np.diag(shifts)
-    return A, arrow_mass_matrix(n)
 
 
 def _eigen_candidates(tb: TransformedBarycentric, use_numerator: bool) -> np.ndarray:
@@ -156,40 +97,22 @@ def _eigen_candidates(tb: TransformedBarycentric, use_numerator: bool) -> np.nda
     payload = tb.shifted_weights
     if use_numerator:
         payload = tb.fvals * payload
-    if tb.kind == KIND_ODD:
-        head = 0j
-        result = generalized_eig_arrow(arrowhead_matrix(head, payload, tb.shifted_support))
-    elif tb.kind == KIND_EVEN:
-        head = tb.head_num if use_numerator else tb.head_den
-        result = generalized_eig_arrow(arrowhead_matrix(head, payload, tb.shifted_support))
-    else:
-        head = tb.head_num if use_numerator else tb.head_den
-        second = tb.pi_cn if use_numerator else tb.pi_cd
-        result = generalized_eig(
-            *_pi_special_pencil(head, second, payload, tb.shifted_support)
-        )
+    head = tb.head_num if use_numerator else tb.head_den
+    result = generalized_eig_arrow(arrowhead_matrix(head, payload, tb.shifted_support))
     return result.finite_eigenvalues
 
 
-def _map_back(kind: str, lam: np.ndarray) -> np.ndarray:
-    """Invert the substitution; eigenvalues mapping to +-i*infinity drop out.
+def _map_back(lam: np.ndarray) -> np.ndarray:
+    """Invert zeta = e^{iz}; eigenvalues mapping to +-i*infinity drop out.
 
-    Eigenvalues within ~1e-13 of the map's branch points (0/infinity for the
-    exponential, +-i for the tangent) sit below eigenvalue noise and would
-    land at |Im z| beyond 25: they represent the far field, not strip points.
+    Eigenvalues with |lambda| below 1e-13 or above 1e13, next to the map's
+    branch points 0 and infinity, sit below eigenvalue noise and would land
+    at |Im z| beyond 25: they represent the far field, not strip points.
     """
     if len(lam) == 0:
         return lam
-    if kind == KIND_ODD:
-        lam = lam[(np.abs(lam) > 1e-13) & (np.abs(lam) < 1e13)]
-        z = -1j * np.log(lam)
-    else:
-        lam = lam[
-            (np.abs(lam) < 1e13)
-            & (np.abs(lam - 1j) > 1e-13)
-            & (np.abs(lam + 1j) > 1e-13)
-        ]
-        z = 2.0 * np.arctan(lam)
+    lam = lam[(np.abs(lam) > 1e-13) & (np.abs(lam) < 1e13)]
+    z = -1j * np.log(lam)
     z = z[np.isfinite(z.real) & np.isfinite(z.imag)]
     return _canonicalize_array(z)
 
@@ -244,7 +167,8 @@ def _verified(model: TrigModel, cands: np.ndarray, use_numerator: bool) -> np.nd
         total[bad], _, ref[bad], _ = _kernel_sum(model, cands[bad] + 1e-12j, coeff)
     keep = np.abs(total) <= RESIDUAL_TOL * ref
     out = cands[keep]
-    # Deduplicate coincident candidates (pencil + pi check can overlap).
+    # Deduplicate coincident candidates (a multiple root gives several
+    # nearby eigenvalues, which polishing can pull onto one point).
     if len(out) > 1:
         order = np.lexsort((out.imag, out.real))
         out = out[order]
@@ -259,18 +183,14 @@ def poles_and_zeros(model: TrigModel) -> PoleZeroReport:
     Builds the generalized eigenvalue pencils from the transformed model
     (denominator data for poles, numerator data for zeros), maps the finite
     eigenvalues back to the strip, and keeps those passing the barycentric
-    residual check.  For even parity the point z = pi, which the tangent
-    substitution sends to infinity, is tested separately.
+    residual check.  Both parities share the one zeta = e^{iz} pencil, so
+    no strip point needs a separate test.
     """
     if model.m < 2:
         raise ValueError("pole extraction needs m >= 2")
     tb = transform(model)
-    pole_cands = _map_back(tb.kind, _eigen_candidates(tb, use_numerator=False))
-    zero_cands = _map_back(tb.kind, _eigen_candidates(tb, use_numerator=True))
-    if tb.kind == KIND_EVEN:
-        pi_pt = np.asarray([np.pi], dtype=complex)
-        pole_cands = np.concatenate([pole_cands, pi_pt])
-        zero_cands = np.concatenate([zero_cands, pi_pt])
+    pole_cands = _map_back(_eigen_candidates(tb, use_numerator=False))
+    zero_cands = _map_back(_eigen_candidates(tb, use_numerator=True))
     poles = _sorted(_verified(model, pole_cands, use_numerator=False))
     zeros = _sorted(_verified(model, zero_cands, use_numerator=True))
     residues = _residues_unchecked(model, poles)

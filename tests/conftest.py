@@ -6,7 +6,8 @@ from aaatrig.trigbary import Parity, TrigModel, TWO_PI, strip_distance
 
 
 def random_model(rng, m, parity, force_pi=False, im_range=0.3):
-    """Well-separated random model; avoids the even-parity near-pi guard."""
+    """Well-separated random model.  Even-parity support stays 1e-3 away
+    from pi unless force_pi puts the first support point exactly there."""
     pts = []
     while len(pts) < m:
         z = rng.uniform(0.0, TWO_PI) + 1j * rng.uniform(-im_range, im_range)
@@ -22,14 +23,23 @@ def random_model(rng, m, parity, force_pi=False, im_range=0.3):
     return TrigModel.build(parity, np.asarray(pts), fvals, weights)
 
 
+def kernel_and_derivative(parity, u):
+    """csc(u) (odd) or cot(u) (even) and its u-derivative, in closed form
+    from np.sin/np.cos so the oracles share no code with the package."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        csc = 1.0 / np.sin(u)
+        cot = np.cos(u) * csc
+        if parity is Parity.ODD:
+            return csc, -csc * cot
+        return cot, -csc * csc
+
+
 def barycentric_sum(model, z, use_numerator=False):
     """Direct kernel sum (numerator or denominator) and its term magnitudes."""
-    from aaatrig.trigbary import _cst_values
-
     coeff = model.weights * (model.fvals if use_numerator else 1.0)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     u = (z[:, None] - model.support[None, :]) / 2.0
-    terms = coeff[None, :] * _cst_values(model.parity, u)
+    terms = coeff[None, :] * kernel_and_derivative(model.parity, u)[0]
     return np.sum(terms, axis=1), np.max(np.abs(terms), axis=1)
 
 
@@ -37,15 +47,13 @@ def dense_roots(model, use_numerator=False, y_max=4.0, nx=420, ny=170):
     """Roots of the model's denominator (or numerator) inside the strip,
     found independently of the eigenvalue route: sample |sum| on a dense
     grid, Newton-refine from every local minimum, keep verified roots."""
-    from aaatrig.trigbary import cst_derivatives
-
     coeff = model.weights * (model.fvals if use_numerator else 1.0)
 
     def f_df(z):
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             u = (np.atleast_1d(z)[:, None] - model.support[None, :]) / 2.0
-            kern = cst_derivatives(model.parity, u, 1)
-            return (kern[0] @ coeff), (0.5 * kern[1] @ coeff)
+            kern, dkern = kernel_and_derivative(model.parity, u)
+            return (kern @ coeff), (0.5 * dkern @ coeff)
 
     xs = np.linspace(0.0, TWO_PI, nx, endpoint=False)
     ys = np.linspace(-y_max, y_max, ny)

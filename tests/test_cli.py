@@ -131,6 +131,22 @@ class TestCommands:
         assert abs(vals[2] + 2.0) < 1e-10
         assert abs(vals[3]) < 1e-10
 
+    def test_even_fit_and_poles_near_pi(self, tmp_path, capsys):
+        # A support point 1e-9 from pi must not stop an even fit or its poles.
+        xs = TWO_PI * np.arange(400) / 400
+        xs[200] = np.pi + 1e-9
+        data = tmp_path / "near_pi.csv"
+        write_csv(data, [(x, 0.0, 1.0 / (1.05 + np.cos(x)), 0.0) for x in xs])
+        out = tmp_path / "run"
+        assert main(["fit", "--data", str(data), "--parity", "even", "--out", str(out)]) == 0
+        assert main(["poles", "--model", str(out) + ".model.json",
+                     "--out", str(tmp_path / "p")]) == 0
+        assert capsys.readouterr().err == ""
+        rows = np.loadtxt(tmp_path / "p.poles.tsv", skiprows=1, ndmin=2)
+        poles = rows[:, 0] + 1j * rows[:, 1]
+        for target in (np.pi + 1j * np.arccosh(1.05), np.pi - 1j * np.arccosh(1.05)):
+            assert np.min(np.abs(poles - target)) < 1e-6
+
     def test_eval_round_trip(self, tmp_path):
         model = TrigModel.build(Parity.ODD, [0.0, np.pi], [1.0, -1.0], [1.0, 1.0])
         mp = tmp_path / "m.json"

@@ -2,9 +2,6 @@ import numpy as np
 import pytest
 
 from aaatrig.polezero import (
-    KIND_EVEN,
-    KIND_EVEN_PI,
-    KIND_ODD,
     partial_fraction_eval,
     partial_fractions,
     poles_and_zeros,
@@ -12,8 +9,10 @@ from aaatrig.polezero import (
     taper_fit,
     transform,
 )
+from aaatrig.solver import FitConfig, fit
 from aaatrig.trigbary import (
     Parity,
+    SampleSet,
     TrigModel,
     TWO_PI,
     evaluate_batch,
@@ -41,43 +40,46 @@ def even_pi_special():
     return TrigModel.build(Parity.EVEN, [np.pi, 0.0], [1.0, -1.0], [1.0, 1.0])
 
 
+# 1/(1.05 + cos x) has simple poles at pi -+ i*A_NEAR_PI with residues
+# +-i/sinh(A_NEAR_PI).
+A_NEAR_PI = np.arccosh(1.05)
+
+
+def near_pi_samples(eps):
+    """1/(1.05 + cos x) on a 400-point grid whose middle point sits at pi + eps."""
+    x = TWO_PI * np.arange(400) / 400
+    x[200] = np.pi + eps
+    return SampleSet.from_data(x, 1.0 / (1.05 + np.cos(x)))
+
+
 class TestTransform:
     def test_even_relations(self):
         model = TrigModel.build(
             Parity.EVEN, [0.0, np.pi / 2, 4.0], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0]
         )
         tb = transform(model)
-        assert tb.kind == KIND_EVEN
-        t = np.tan(model.support / 2.0)
-        assert np.allclose(tb.shifted_support, t, atol=1e-14)
-        assert np.allclose(tb.shifted_weights, model.weights * (1 + t * t), atol=1e-14)
-        # At z_j = 0 the shifted weight equals the original; at pi/2 it doubles.
-        assert abs(tb.shifted_weights[0] - model.weights[0]) < 1e-15
-        assert abs(tb.shifted_weights[1] - 2 * model.weights[1]) < 1e-15
-        assert abs(tb.head_num - np.sum(model.fvals * model.weights * t)) < 1e-14
-        assert abs(tb.head_den - np.sum(model.weights * t)) < 1e-14
+        zeta = np.exp(1j * model.support)
+        assert np.allclose(tb.shifted_support, zeta, atol=1e-14)
+        assert np.allclose(tb.shifted_weights, 2 * model.weights * zeta, atol=1e-14)
+        # zeta_j = 1 at z_j = 0 and i at pi/2.
+        assert abs(tb.shifted_weights[0] - 2 * model.weights[0]) < 1e-14
+        assert abs(tb.shifted_weights[1] - 2j * model.weights[1]) < 1e-14
+        assert abs(tb.head_num - np.sum(model.fvals * model.weights)) < 1e-14
+        assert abs(tb.head_den - np.sum(model.weights)) < 1e-14
 
     def test_odd_relations(self):
         model = TrigModel.build(Parity.ODD, [np.pi, 1.0], [1.0, 2.0], [1.0, 1.0])
         tb = transform(model)
-        assert tb.kind == KIND_ODD
+        assert tb.head_num == 0 and tb.head_den == 0
         assert abs(tb.shifted_support[0] + 1.0) < 1e-15  # e^{i pi} = -1
         assert abs(tb.shifted_weights[0] - 1j * model.weights[0]) < 1e-15
 
-    def test_pi_special_selected(self):
-        tb = transform(even_pi_special())
-        assert tb.kind == KIND_EVEN_PI
-        w = 1.0 / np.sqrt(2.0)
-        assert abs(tb.head_num + 1.0 * w) < 1e-15  # -f_1 w_1
-        assert abs(tb.head_den + w) < 1e-15  # -w_1
-        assert len(tb.shifted_support) == 1
-
-    def test_near_pi_guard(self):
-        model = TrigModel.build(
-            Parity.EVEN, [np.pi + 1e-9, 1.0], [1.0, 2.0], [1.0, 1.0]
-        )
-        with pytest.raises(ValueError, match="near-pi"):
-            transform(model)
+    def test_pi_is_ordinary_node(self):
+        model = even_pi_special()
+        tb = transform(model)
+        assert len(tb.shifted_support) == model.m
+        assert abs(tb.shifted_support[0] + 1.0) < 1e-15  # e^{i pi} = -1
+        assert abs(tb.shifted_weights[0] + 2 * model.weights[0]) < 1e-15
 
 
 class TestWorkedExamples:
@@ -113,9 +115,18 @@ class TestCrossFormulationOracle:
     @pytest.mark.parametrize("parity", list(Parity))
     def test_matches_dense_root_search(self, parity):
         rng = np.random.default_rng(42)
-        for trial in range(6):
-            m = 2 + trial % 5
-            model = random_model(rng, m, parity, force_pi=(parity is Parity.EVEN and trial == 3))
+        models = [
+            random_model(rng, 2 + trial % 5, parity, force_pi=(parity is Parity.EVEN and trial == 3))
+            for trial in range(6)
+        ]
+        if parity is Parity.EVEN:
+            # A support point just off pi, which the zeta pencil treats like any other.
+            for m, offset in ((3, 1e-9), (4, 1e-7), (5, 1e-9)):
+                base = random_model(rng, m, parity, force_pi=True)
+                support = base.support.copy()
+                support[0] += offset
+                models.append(TrigModel.build(parity, support, base.fvals, base.weights))
+        for model in models:
             rep = poles_and_zeros(model)
             for pts, use_num in ((rep.poles, False), (rep.zeros, True)):
                 oracle = dense_roots(model, use_numerator=use_num)
@@ -147,6 +158,35 @@ class TestCrossFormulationOracle:
             zeros = poles_and_zeros(model).zeros
             rpoles = poles_and_zeros(recip).poles
             assert match_point_sets(zeros, rpoles, 1e-8)
+
+
+class TestNearPiSupport:
+    """Even fits whose support holds a point within 2e-6 of pi."""
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-7, 2e-6])
+    def test_fit_with_cleanup_returns(self, eps):
+        model = fit(near_pi_samples(eps), FitConfig(parity=Parity.EVEN))
+        assert model.m >= 2
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-7, 2e-6])
+    def test_raw_fit_poles_and_residues(self, eps):
+        samples = near_pi_samples(eps)
+        model = fit(samples, FitConfig(parity=Parity.EVEN, cleanup=False))
+        assert np.min(strip_distance(model.support, np.pi)) <= 2 * eps
+        rep = poles_and_zeros(model)
+        genuine = np.zeros(len(rep.poles), dtype=bool)
+        for sign in (1, -1):
+            d = strip_distance(rep.poles, np.pi + sign * 1j * A_NEAR_PI)
+            j = int(np.argmin(d))
+            assert d[j] < 1e-10
+            assert abs(rep.residues[j] + sign * 1j / np.sinh(A_NEAR_PI)) < 1e-8
+            genuine[j] = True
+        scale = np.max(np.abs(samples.values))
+        assert np.all(np.abs(rep.residues[~genuine]) < 1e-13 * scale)
+        for pts, use_num in ((rep.poles, False), (rep.zeros, True)):
+            if len(pts):
+                total, ref = barycentric_sum(model, pts, use_numerator=use_num)
+                assert np.all(np.abs(total) <= 1e-6 * ref)
 
 
 class TestResidues:
