@@ -1,15 +1,19 @@
 """Spectral differentiation for trigonometric barycentric models.
 
 Differentiation matrices map values on the support grid to derivative
-values on the same grid; an off-grid recurrence evaluates derivatives of
-the rational itself anywhere else.  Orders up to 4 are supported; higher
-orders are numerically fragile and are rejected.
+values on the same grid, through derivatives of the csc/cot kernel.
+Anywhere else, the rational itself is differentiated in the paper's change
+of variable zeta = e^{isz} (Baddoo, sec. 3), where it is a classical
+barycentric rational R(zeta): the divided-difference recurrence of
+Schneider & Werner (Math. Comp. 1986) gives R^{(k)}/k!, and
+d/dz = is * zeta d/dzeta turns those into derivatives in z.  Orders up to 4
+are supported; higher orders are numerically fragile and are rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import numpy.polynomial.polynomial as P
@@ -19,10 +23,7 @@ from .trigbary import (
     TrigModel,
     _cst_values,
     blockwise,
-    cst_derivatives,
     derivative_polys,
-    evaluate_batch,
-    strip_distance,
 )
 
 MAX_ORDER = 4
@@ -31,6 +32,14 @@ MAX_ORDER = 4
 # when two support points sit (2k+1)*pi apart; the cancellation there is
 # catastrophic for orders >= 2.
 ANTIPODAL_GUARD = 1e-2
+
+# |zeta - zeta_j| / |zeta_j|, which is |z - z_j| to first order over the
+# 2*pi shifts, below which derivative_at refuses a point.
+SUPPORT_GUARD = 1e-8
+
+# Stirling numbers of the second kind S(p, k), k = 1..p:
+# (zeta d/dzeta)^p = sum_k S(p, k) zeta^k (d/dzeta)^k.
+STIRLING2 = ((1,), (1, 1), (1, 3, 1), (1, 7, 6, 1))
 
 
 @dataclass(frozen=True)
@@ -116,36 +125,43 @@ def diff_matrix(model: TrigModel, p: int) -> DiffMatrix:
 def derivative_at(model: TrigModel, z, p: int):
     """p-th derivative of the rational at points away from the support.
 
-    A scalar z gives a complex, an array z an array of its shape.  Evaluates
-    the derivative recurrence built on kernel derivatives (csc' = -csc*cot,
-    cot' = -csc^2 chained to order p).  Points within 1e-8 of a support
-    point must use :func:`diff_matrix` instead; any such point raises.
+    A scalar z gives a complex, an array z an array of its shape.  With
+    zeta = e^{isz} and s the sign of Im z, the model is R(zeta) with nodes
+    zeta_j = e^{isz_j} and weights w_j e^{isz_j/2} (odd), or 2 w_j zeta_j plus
+    a node at infinity of weight sum_j w_j (even).  One divided-difference
+    pass per order gives R^{(k)}/k!, at O(N m p) for N points; every sum is
+    taken per point, so a point's derivative does not depend on the batch
+    it is in.  Points within 1e-8 of a support point must use
+    :func:`diff_matrix` instead; any such point raises.
     """
     if p < 1:
         raise ValueError("derivative order must be positive")
     if p > MAX_ORDER:
         raise ValueError("unsupported order")
-    out = blockwise(lambda zc: _derivative_block(model, zc, p), z)
+    out = blockwise(lambda s, zc: _derivative_block(model, s, zc, p), z)
     return complex(out) if out.ndim == 0 else out
 
 
-def _derivative_block(model, zc, p):
-    if np.any(strip_distance(zc[:, None], model.support[None, :]) < 1e-8):
+def _derivative_block(model, s, zc, p):
+    # Schneider & Werner: with d_j = R[zeta^(k), zeta_j] and T_k = R^{(k)}/k!,
+    # d_j <- (T_{k-1} - d_j)/(zeta - zeta_j) and T_k = sum_j a_j d_j/(zeta - zeta_j) / D.
+    zeta_j = np.exp(s * 1j * model.support)
+    zeta = np.exp(s * 1j * zc)
+    diff = zeta[:, None] - zeta_j
+    if np.any(np.abs(diff) < SUPPORT_GUARD * np.abs(zeta_j)):
         raise ValueError("too close to a support point; use diff_matrix")
-    w = model.weights
-    kernel = cst_derivatives(model.parity, (zc[:, None] - model.support[None, :]) / 2.0, p)
-    half = 0.5 ** np.arange(p + 1)
-    den = np.einsum("ij,j->i", kernel[0], w)
-    derivs = [evaluate_batch(model, zc)]
-    residual = model.fvals[None, :] - derivs[0][:, None]
-    for order in range(1, p + 1):
-        total = 0j
-        for q in range(order):
-            kq = half[order - q] * kernel[order - q]
-            if q == 0:
-                inner = np.einsum("ij,j,ij->i", kq, w, residual)
-            else:
-                inner = -derivs[q] * np.einsum("ij,j->i", kq, w)
-            total += comb(order, q) * inner
-        derivs.append(total / den)
-    return derivs[p]
+    w, f = model.weights, model.fvals
+    if model.parity is Parity.ODD:
+        a, head, head_f = w * np.exp(s * 0.5j * model.support), 0.0, 0.0
+    else:
+        a, head, head_f = 2.0 * w * zeta_j, np.sum(w), np.sum(w * f)
+    cauchy = a / diff
+    den = head + np.einsum("ij->i", cauchy)
+    t = (head_f + np.einsum("ij,j->i", cauchy, f)) / den
+    d = f
+    out = 0j
+    for k, stirling in enumerate(STIRLING2[p - 1], start=1):
+        d = (t[:, None] - d) / diff
+        t = np.einsum("ij,ij->i", cauchy, d) / den
+        out = out + stirling * factorial(k) * zeta**k * t
+    return (1j * s) ** p * out

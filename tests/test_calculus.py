@@ -1,9 +1,12 @@
+import mpmath
 import numpy as np
 import pytest
 
 from aaatrig.calculus import derivative_at, diff_matrix
+from aaatrig.solver import FitConfig, fit
 from aaatrig.trigbary import (
     Parity,
+    SampleSet,
     TrigModel,
     TWO_PI,
     evaluate,
@@ -165,14 +168,46 @@ class TestDerivativeAt:
         assert vals.shape == zs.shape
         scalar = [derivative_at(model, z, p) for z in zs.ravel()]
         assert all(isinstance(v, complex) for v in scalar)
-        np.testing.assert_allclose(vals.ravel(), scalar, rtol=1e-14, atol=0.0)
+        assert np.array_equal(vals.ravel(), scalar)
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_far_field_vanishes(self, parity, p):
+        # r tends to constants at +-i*inf, so its derivatives decay like e^{-|Im z|}.
+        rng = np.random.default_rng(17)
+        model = random_model(rng, 6, parity)
+        heights = np.asarray([40.0, 60.0, 80.0])
+        zs = rng.uniform(0, TWO_PI, 6) + 1j * np.concatenate([heights, -heights])
+        vals = derivative_at(model, zs, p)
+        assert np.all(np.isfinite(vals))
+        assert np.max(np.abs(vals)) <= 1e-14 * model.scale
 
     def test_too_close_to_support(self):
         with pytest.raises(ValueError, match="diff_matrix"):
             derivative_at(odd_worked(), 1e-10, 1)
         with pytest.raises(ValueError, match="diff_matrix"):
             derivative_at(odd_worked(), [1.0, 2.0, np.pi + 1e-10], 1)
+        # Across the 2*pi seam from the support point at 0.
+        with pytest.raises(ValueError, match="diff_matrix"):
+            derivative_at(odd_worked(), TWO_PI - 1e-10, 1)
+        assert np.isfinite(derivative_at(odd_worked(), TWO_PI - 1e-7, 1))
 
     def test_order_cap(self):
         with pytest.raises(ValueError, match="unsupported order"):
             derivative_at(odd_worked(), 1.0, 5)
+
+
+@pytest.fixture(scope="module", params=list(Parity), ids=lambda p: p.value)
+def exp_sin_fit(request):
+    x = TWO_PI * np.arange(1000) / 1000
+    return fit(SampleSet.from_data(x, np.exp(np.sin(x))), FitConfig(parity=request.param))
+
+
+@pytest.mark.parametrize("p, tol", [(1, 1e-9), (4, 1e-6)])
+def test_near_support_accuracy(exp_sin_fit, p, tol):
+    """Orders 1 and 4 at 1e-4 from the support, against mpmath."""
+    zs = exp_sin_fit.support[:8].real + 1e-4
+    with mpmath.workdps(30):
+        want = [complex(mpmath.diff(lambda t: mpmath.exp(mpmath.sin(t)), mpmath.mpf(z), p))
+                for z in zs]
+    assert np.max(np.abs(derivative_at(exp_sin_fit, zs, p) - want)) <= tol
