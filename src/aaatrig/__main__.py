@@ -1,0 +1,7 @@
+"""``python -m aaatrig``: the command-line interface."""
+
+import sys
+
+from . import cli
+
+sys.exit(cli.main())

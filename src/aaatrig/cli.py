@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -100,17 +101,27 @@ def _load_json(path: str, parse, what: str):
         raise ValueError(f"{path}: malformed {what} ({exc})")
 
 
+TABLE_BLOCK = 8192
+
+
 def write_table(path: str, header: list[str], rows) -> None:
+    """Write a TSV table: the header line, then one line per row.
+
+    ``rows`` is a 2-D float ndarray or a sized sequence of rows of Python
+    ints and floats.  Every cell is written with ``%r``: ``repr`` of a float
+    is its shortest round-trip decimal, and of an int its digits.  Arrays are
+    converted to Python floats ``TABLE_BLOCK`` rows at a time, so the text of
+    one block is in memory at once; numpy scalars must not reach ``%r``,
+    which would print them as ``np.float64(...)``.
+    """
+    line = "\t".join(["%r"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                "\t".join(
-                    str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
-                    for v in row
-                )
-                + "\n"
-            )
+        for start in range(0, len(rows), TABLE_BLOCK):
+            block = rows[start:start + TABLE_BLOCK]
+            if isinstance(block, np.ndarray):
+                block = block.tolist()
+            fh.write("".join([line % tuple(row) for row in block]))
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +174,33 @@ def read_points(path: str, fmt: str = "csv") -> np.ndarray:
     """Load evaluation points: CSV (header re_z,im_z) or JSON {"points": ...}."""
     if fmt == "json":
         return _load_json(path, lambda doc: _unpairs(doc["points"]), "JSON points file")
-    points = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None or [h.strip() for h in header][:2] != CSV_COLUMNS[:2]:
             raise ValueError(f"{path}: expected header re_z,im_z")
+        # loadtxt parses every field, so it succeeds only when each line is
+        # the same count of plain numbers: no quote, no text column, no
+        # whitespace-only line.  Such a file splits the same way under the
+        # csv rules.  A view of the (x, y) pairs keeps 1.0,inf as 1+infj,
+        # where x + 1j*y would give nan+infj.
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                xy = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        except ValueError:
+            xy = None
+        if xy is not None and len(xy) == 0:
+            return np.empty(0, dtype=complex)
+        if xy is not None and xy.shape[1] >= 2:
+            return np.ascontiguousarray(xy[:, :2]).view(complex).ravel()
+        # Every other file goes through the csv reader, the only path for
+        # forms the format accepts and loadtxt refuses (whitespace-only
+        # lines, quoted numbers, 1_0, extra columns that are not numbers)
+        # and the only one that can name the line of a malformed point.
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
+        points = []
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -230,7 +262,7 @@ def _samples(args) -> SampleSet:
 
 
 def _write_errors(path: str, err_history) -> None:
-    write_table(path, ["m", "max_err"], [(m + 1, e) for m, e in enumerate(err_history)])
+    write_table(path, ["m", "max_err"], [(m + 1, e) for m, e in enumerate(err_history.tolist())])
 
 
 def cmd_fit(args) -> int:
@@ -251,7 +283,7 @@ def cmd_eval(args) -> int:
     write_table(
         args.out + ".values.tsv",
         ["re_z", "im_z", "re_f", "im_f"],
-        [(p.real, p.imag, v.real, v.imag) for p, v in zip(pts, vals)],
+        np.column_stack([pts.real, pts.imag, vals.real, vals.imag]),
     )
     return 0
 
@@ -260,13 +292,11 @@ def cmd_poles(args) -> int:
     model = read_model(args.model)
     report = polezero.poles_and_zeros(model)
     factor = args.period / TWO_PI
+    poles, residues = report.poles * factor, report.residues * factor
     write_table(
         args.out + ".poles.tsv",
         ["re_pole", "im_pole", "re_res", "im_res"],
-        [
-            ((p * factor).real, (p * factor).imag, (r * factor).real, (r * factor).imag)
-            for p, r in zip(report.poles, report.residues)
-        ],
+        np.column_stack([poles.real, poles.imag, residues.real, residues.imag]),
     )
     write_model(args.out + ".model.json", model, report)
     print(f"poles: {len(report.poles)} zeros: {len(report.zeros)}")
@@ -281,7 +311,7 @@ def cmd_diff(args) -> int:
     write_table(
         args.out + ".derivs.tsv",
         ["re_z", "im_z", "re_df", "im_df"],
-        [(p.real, p.imag, d.real, d.imag) for p, d in zip(pts, derivs)],
+        np.column_stack([pts.real, pts.imag, derivs.real, derivs.imag]),
     )
     return 0
 
@@ -322,7 +352,8 @@ def cmd_compare_fft(args) -> int:
     orders = np.arange(1, args.mmax + 1)
     fft_errs = baselines.fft_least_squares_errors(samples, orders)
     _write_errors(args.out + ".aaatrig.tsv", trig.err_history)
-    write_table(args.out + ".fft.tsv", ["m", "max_err"], zip(orders, fft_errs))
+    write_table(args.out + ".fft.tsv", ["m", "max_err"],
+                list(zip(orders.tolist(), fft_errs.tolist())))
     print(f"compare-fft: aaatrig m={trig.m} err={trig.err_history[-1]:.3e}")
     return 0
 
@@ -335,7 +366,7 @@ def cmd_lightning_demo(args) -> int:
     write_table(
         args.out + ".field.tsv",
         ["re_z", "im_z", "re_f", "im_f"],
-        [(z.real, z.imag, v.real, v.imag) for z, v in zip(grid, vals)],
+        np.column_stack([grid.real, grid.imag, vals.real, vals.imag]),
     )
     report = polezero.poles_and_zeros(compressed)
     write_model(args.out + ".compressed.model.json", compressed, report)

@@ -5,19 +5,32 @@ import numpy as np
 from aaatrig.trigbary import Parity, TrigModel, TWO_PI, strip_distance
 
 
+RANDOM_MODEL_SEPARATION = 0.35
+RANDOM_MODEL_MAX_DRAWS = 10_000
+
+
 def random_model(rng, m, parity, force_pi=False, im_range=0.3):
     """Well-separated random model.  Even-parity support stays 1e-3 away
-    from pi unless force_pi puts the first support point exactly there."""
+    from pi unless force_pi puts the first support point exactly there.
+    Raises ValueError when RANDOM_MODEL_MAX_DRAWS draws do not place m
+    points RANDOM_MODEL_SEPARATION apart (m above about 30 at im_range=0.3)."""
     pts = []
-    while len(pts) < m:
+    for _ in range(RANDOM_MODEL_MAX_DRAWS):
+        if len(pts) == m:
+            break
         z = rng.uniform(0.0, TWO_PI) + 1j * rng.uniform(-im_range, im_range)
         if force_pi and not pts:
             z = np.pi + 0j
         elif parity is Parity.EVEN and abs(strip_distance(z, np.pi)) < 1e-3:
             continue
-        if pts and np.min(strip_distance(z, np.asarray(pts))) < 0.35:
+        if pts and np.min(strip_distance(z, np.asarray(pts))) < RANDOM_MODEL_SEPARATION:
             continue
         pts.append(z)
+    if len(pts) < m:
+        raise ValueError(
+            f"random_model: {RANDOM_MODEL_MAX_DRAWS} draws placed {len(pts)} of m={m} support "
+            f"points {RANDOM_MODEL_SEPARATION} apart with |Im z| <= {im_range}"
+        )
     fvals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     weights = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     return TrigModel.build(parity, np.asarray(pts), fvals, weights)

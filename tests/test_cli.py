@@ -1,18 +1,30 @@
+import csv
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aaatrig
+from aaatrig import baselines, polezero
 from aaatrig.calculus import derivative_at
 from aaatrig.cli import (
+    TABLE_BLOCK,
     ingest,
     main,
     model_from_dict,
     model_to_dict,
     read_model,
+    read_points,
     write_model,
+    write_table,
 )
-from aaatrig.trigbary import Parity, TrigModel, TWO_PI, evaluate_batch
+from aaatrig.trigbary import Parity, SampleSet, TrigModel, TWO_PI, evaluate_batch
 
 
 def write_csv(path, rows, header="re_z,im_z,re_f,im_f"):
@@ -309,3 +321,249 @@ class TestCommands:
         with pytest.raises(SystemExit) as exc:
             main(["fit"])  # missing required flags
         assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# Table bytes and points parsing, against cell-by-cell references
+
+
+def reference_table(header, rows):
+    """Table text by the per-cell rule: repr(float(v)), or str(int(v)) for ints."""
+    lines = ["\t".join(header)]
+    for row in rows:
+        lines.append("\t".join(
+            str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v)) for v in row
+        ))
+    return "".join(line + "\n" for line in lines)
+
+
+def complex_rows(a, b):
+    return [(x.real, x.imag, y.real, y.imag) for x, y in zip(a, b)]
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-5, 0.1, 2.0**53 + 2]
+
+
+class TestWriteTable:
+    n = 2 * TABLE_BLOCK + 3
+
+    def test_float_array_across_blocks(self, tmp_path):
+        rng = np.random.default_rng(30)
+        data = rng.standard_normal((self.n, 4)) * 10.0 ** rng.integers(-300, 300, (self.n, 4))
+        cells = data.reshape(-1)
+        cells[::7] = np.resize(SPECIAL_FLOATS, len(cells[::7]))
+        p = tmp_path / "t.tsv"
+        write_table(str(p), ["a", "b", "c", "d"], data)
+        assert p.read_text() == reference_table(["a", "b", "c", "d"], data)
+
+    def test_int_column_across_blocks(self, tmp_path):
+        errs = np.resize(SPECIAL_FLOATS, self.n)
+        rows = [(m + 1, e) for m, e in enumerate(errs.tolist())]
+        p = tmp_path / "t.tsv"
+        write_table(str(p), ["m", "max_err"], rows)
+        text = p.read_text()
+        assert text == reference_table(["m", "max_err"], rows)
+        assert text.splitlines()[1] == "1\t-0.0"
+
+
+class TestCommandTableBytes:
+    """Each table a command writes is the reference text of the model's outputs."""
+
+    period = 3.5
+
+    @pytest.fixture
+    def fitted(self, tmp_path):
+        xs = self.period * np.arange(64) / 64
+        data = tmp_path / "d.csv"
+        write_csv(data, [(x, 0.0, 1.0 / (2.0 + np.sin(TWO_PI * x / self.period)), 0.0)
+                         for x in xs])
+        out = tmp_path / "fit"
+        assert main(["fit", "--data", str(data), "--period", str(self.period),
+                     "--out", str(out)]) == 0
+        rng = np.random.default_rng(31)
+        zs = rng.uniform(-1.0, 7.0, 300) + 1j * rng.uniform(-50.0, 50.0, 300)
+        zs[:20] = zs[:20].real
+        pts = tmp_path / "pts.csv"
+        write_csv(pts, [(z.real, z.imag) for z in zs], header="re_z,im_z")
+        return str(out), read_model(str(out) + ".model.json"), str(pts), zs
+
+    def test_errors_table(self, fitted):
+        out, model, _, _ = fitted
+        expected = reference_table(["m", "max_err"],
+                                   [(m + 1, e) for m, e in enumerate(model.err_history)])
+        assert Path(out + ".errors.tsv").read_text() == expected
+
+    def test_eval_table(self, fitted, tmp_path):
+        out, model, pts, zs = fitted
+        assert main(["eval", "--model", out + ".model.json", "--points", pts,
+                     "--period", str(self.period), "--out", str(tmp_path / "e")]) == 0
+        vals = evaluate_batch(model, zs * (TWO_PI / self.period))
+        expected = reference_table(["re_z", "im_z", "re_f", "im_f"], complex_rows(zs, vals))
+        assert (tmp_path / "e.values.tsv").read_text() == expected
+
+    def test_diff_table(self, fitted, tmp_path):
+        out, model, pts, zs = fitted
+        assert main(["diff", "--model", out + ".model.json", "--points", pts, "--order", "2",
+                     "--period", str(self.period), "--out", str(tmp_path / "d")]) == 0
+        derivs = derivative_at(model, zs * (TWO_PI / self.period), 2)
+        derivs = derivs * (TWO_PI / self.period) ** 2
+        expected = reference_table(["re_z", "im_z", "re_df", "im_df"], complex_rows(zs, derivs))
+        assert (tmp_path / "d.derivs.tsv").read_text() == expected
+
+    def test_poles_table(self, fitted, tmp_path):
+        out, model, _, _ = fitted
+        assert main(["poles", "--model", out + ".model.json", "--period", str(self.period),
+                     "--out", str(tmp_path / "p")]) == 0
+        report = polezero.poles_and_zeros(model)
+        factor = self.period / TWO_PI
+        assert len(report.poles) > 0
+        rows = [((p * factor).real, (p * factor).imag, (r * factor).real, (r * factor).imag)
+                for p, r in zip(report.poles, report.residues)]
+        expected = reference_table(["re_pole", "im_pole", "re_res", "im_res"], rows)
+        assert (tmp_path / "p.poles.tsv").read_text() == expected
+
+    def test_fft_table(self, tmp_path):
+        assert main(["compare-fft", "--n", "200", "--mmax", "12",
+                     "--out", str(tmp_path / "cf")]) == 0
+        x = TWO_PI * np.arange(200) / 200
+        samples = SampleSet.from_data(x.astype(complex), np.tanh(60.0 * np.cos(x)).astype(complex))
+        orders = np.arange(1, 13)
+        errs = baselines.fft_least_squares_errors(samples, orders)
+        expected = reference_table(["m", "max_err"], zip(orders, errs))
+        assert (tmp_path / "cf.fft.tsv").read_text() == expected
+
+
+def csv_read_points(path):
+    """Points by the csv-module loop alone: the reference for read_points."""
+    points = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            try:
+                points.append(complex(float(row[0]), float(row[1])))
+            except (ValueError, IndexError):
+                raise ValueError(f"{path}: line {lineno}: malformed point")
+    return np.asarray(points, dtype=complex)
+
+
+POINTS_CORPUS = {
+    "blank_line": "1.0,2.0\n\n3.0,4.0\n",
+    "whitespace_line": "1.0,2.0\n \t \n3.0,4.0\n",
+    "crlf": "1.0,2.0\r\n3.0,4.0\r\n",
+    "spaces": " 1.0 , 2.0 \n\t3.5\t,-4.0\n",
+    "extra_column": "1.0,2.0,9.0\n3.0,4.0\n",
+    "extra_columns_uniform": "1.0,2.0,9.0,8.0\n3.0,4.0,7.0,6.0\n",
+    "extra_text_column": "1.0,2.0,a\n3.0,4.0,b\n",
+    "quoted": '"1.0",2.0\n3.0,"4.0"\n',
+    "quote_spans_lines": '1.0,2.0,"a\n3.0,4.0,"\n5.0,6.0\n',
+    "underscore": "1_0,2.0\n",
+    "nan": "nan,-nan\nNaN,1.0\n",
+    "inf": "1.0,inf\n-inf,1.0\n",
+    "negative_zero": "-0.0,-0.0\n0.0,-0.0\n",
+    "subnormal": "5e-324,2.2250738585072014e-309\n",
+    "no_final_newline": "1.0,2.0\n3.0,4.0",
+    "header_only": "",
+}
+
+
+class TestReadPoints:
+    @staticmethod
+    def points_file(tmp_path, body):
+        p = tmp_path / "pts.csv"
+        header = "re_z,im_z\r\n" if "\r\n" in body else "re_z,im_z\n"
+        with open(p, "w", newline="") as fh:
+            fh.write(header + body)
+        return str(p)
+
+    @pytest.mark.parametrize("name", sorted(POINTS_CORPUS))
+    def test_matches_csv_loop_bitwise(self, tmp_path, name):
+        path = self.points_file(tmp_path, POINTS_CORPUS[name])
+        got, want = read_points(path), csv_read_points(path)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("body", [
+        "1.0,2.0\n1.0,oops\n",
+        "1.0,2.0\n1.0\n",
+        "1.0,2.0\n#1.0,2.0\n",
+        "0x10,2.0\n",
+        "1.0,2.0\n3.0,4.0\n1d3,2.0\n",
+        "1.0,2.0\n \n\"1.0\",oops\n",
+    ])
+    def test_malformed_line_matches_csv_loop(self, tmp_path, body):
+        path = self.points_file(tmp_path, body)
+        with pytest.raises(ValueError) as want:
+            csv_read_points(path)
+        with pytest.raises(ValueError) as got:
+            read_points(path)
+        assert str(got.value) == str(want.value)
+        assert "malformed point" in str(got.value)
+
+    def test_header_only_is_silent(self, tmp_path):
+        path = self.points_file(tmp_path, "")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_points(path).shape == (0,)
+
+    def test_eval_memory_is_arrays_plus_one_block(self, tmp_path):
+        n = 200_000
+        rng = np.random.default_rng(32)
+        model = TrigModel.build(Parity.ODD, rng.uniform(0.0, TWO_PI, 8),
+                                rng.standard_normal(8), rng.standard_normal(8))
+        mp = tmp_path / "m.json"
+        write_model(str(mp), model)
+        pts = tmp_path / "pts.csv"
+        xy = np.column_stack([rng.uniform(0.0, TWO_PI, n), rng.uniform(-1.0, 1.0, n)])
+        np.savetxt(pts, xy, delimiter=",", header="re_z,im_z", comments="")
+        argv = ["eval", "--model", str(mp), "--points", str(pts), "--out", str(tmp_path / "e")]
+        assert main(argv) == 0  # warm-up: imports and first-call caches
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The point, value and output arrays take 16 MB of this.
+        assert peak < 28 * 2**20
+
+
+class TestModuleEntryPoint:
+    """python -m aaatrig, across a real process boundary."""
+
+    @staticmethod
+    def run(args, cwd):
+        src = str(Path(aaatrig.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-m", "aaatrig", *args], cwd=cwd,
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=300)
+
+    @staticmethod
+    def model_file(tmp_path):
+        mp = tmp_path / "m.json"
+        write_model(str(mp), TrigModel.build(Parity.ODD, [0.0, np.pi], [1.0, -1.0], [1.0, 1.0]))
+        return str(mp)
+
+    def test_eval_exits_0(self, tmp_path):
+        mp = self.model_file(tmp_path)
+        pts = tmp_path / "pts.csv"
+        pts.write_text("re_z,im_z\n0.5,0.0\n1.5,-2.0\n")
+        done = self.run(["eval", "--model", mp, "--points", str(pts), "--out", "e"], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert main(["eval", "--model", mp, "--points", str(pts),
+                     "--out", str(tmp_path / "ref")]) == 0
+        assert (tmp_path / "e.values.tsv").read_bytes() == (tmp_path / "ref.values.tsv").read_bytes()
+
+    def test_malformed_points_is_one_error_line(self, tmp_path):
+        mp = self.model_file(tmp_path)
+        pts = tmp_path / "pts.csv"
+        pts.write_text("re_z,im_z\n0.5,0.0\n1.5,oops\n")
+        done = self.run(["eval", "--model", mp, "--points", str(pts), "--out", "e"], tmp_path)
+        assert done.returncode == 1
+        err = done.stderr.splitlines()
+        assert len(err) == 1, done.stderr
+        assert err[0].startswith("aaatrig: error: ") and "line 3" in err[0]
+        assert "Traceback" not in done.stderr

@@ -397,3 +397,10 @@ class TestTrigModel:
 
     def test_strip_distance_wraps(self):
         assert abs(strip_distance(0.1, TWO_PI - 0.1) - 0.2) < 1e-12
+
+
+def test_random_model_refuses_crowded_support():
+    # 40 points 0.35 apart do not fit in the 2*pi x 0.6 strip; the helper
+    # must say so instead of drawing forever.
+    with pytest.raises(ValueError, match="m=40"):
+        random_model(np.random.default_rng(0), 40, Parity.ODD)
