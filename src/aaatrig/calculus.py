@@ -1,37 +1,24 @@
 """Spectral differentiation for trigonometric barycentric models.
 
-Differentiation matrices map values on the support grid to derivative
-values on the same grid, through derivatives of the csc/cot kernel.
-Anywhere else, the rational itself is differentiated in the paper's change
-of variable zeta = e^{isz} (Baddoo, sec. 3), where it is a classical
-barycentric rational R(zeta): the divided-difference recurrence of
-Schneider & Werner (Math. Comp. 1986) gives R^{(k)}/k!, and
-d/dz = is * zeta d/dzeta turns those into derivatives in z.  Orders up to 4
-are supported; higher orders are numerically fragile and are rejected.
+Both derivative paths differentiate the rational in the paper's change of
+variable zeta = e^{isz} (Baddoo, sec. 3), where it is a classical
+barycentric rational R(zeta).  The divided-difference identity of
+Schneider & Werner (Math. Comp. 1986) gives R^{(k)}/k!, at the support
+points for differentiation matrices and anywhere else for derivative_at,
+and d/dz = is * zeta d/dzeta turns those into derivatives in z.  Orders up
+to 4 are supported; higher orders are numerically fragile and are rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
-import numpy.polynomial.polynomial as P
 
-from .trigbary import (
-    Parity,
-    TrigModel,
-    _cst_values,
-    blockwise,
-    derivative_polys,
-)
+from .trigbary import TrigModel, _zeta_form, blockwise
 
 MAX_ORDER = 4
-
-# Even-parity kernels need derivatives of tan((z_j - z_k)/2), which blow up
-# when two support points sit (2k+1)*pi apart; the cancellation there is
-# catastrophic for orders >= 2.
-ANTIPODAL_GUARD = 1e-2
 
 # |zeta - zeta_j| / |zeta_j|, which is |z - z_j| to first order over the
 # 2*pi shifts, below which derivative_at refuses a point.
@@ -53,82 +40,54 @@ class DiffMatrix:
     entries: np.ndarray
 
 
-def _recip_derivs(parity: Parity, u: np.ndarray, qmax: int) -> np.ndarray:
-    """d^q/du^q of the kernel reciprocal (sin for odd, tan for even)."""
-    u = np.asarray(u, dtype=complex)
-    out = np.empty((qmax + 1,) + u.shape, dtype=complex)
-    if parity is Parity.ODD:
-        s, c = np.sin(u), np.cos(u)
-        cycle = (s, c, -s, -c)
-        for q in range(qmax + 1):
-            out[q] = cycle[q % 4]
-    else:
-        t = np.tan(u)
-        for q, poly in enumerate(derivative_polys("tan", qmax)):
-            out[q] = P.polyval(t, poly)
-    return out
-
-
 def diff_matrix(model: TrigModel, p: int) -> DiffMatrix:
     """Order-p differentiation matrix on the model's support grid.
 
-    The first-order off-diagonal entries are (w_k / w_j) cst((z_j - z_k)/2) / 2;
-    higher orders follow the kernel recurrence in terms of derivatives of the
-    kernel reciprocal.  Diagonals are negative row sums at every order.
+    In zeta = e^{iz} the model is sum_j L_j(zeta) f_j, with
+    L_j = (a_j/(zeta - zeta_j) + c_j)/D(zeta) and D the sum of the numerators
+    (trigbary._zeta_form).  Row i holds T_k(i, j) = L_j^{(k)}(zeta_i)/k!.  Let
+    e_k(i) be the Taylor coefficients at zeta_i of E = 1/((zeta - zeta_i) D).
+    Taylor coefficients of (zeta - zeta_j) L_j = (a_j + c_j (zeta - zeta_j))
+    (zeta - zeta_i) E give the Schneider-Werner recurrence, with the even
+    node at infinity: for j != i and Delta_ij = zeta_i - zeta_j,
+
+        T_k(i, j) = ((a_j + c_j Delta_ij) e_{k-1}(i) + c_j e_{k-2}(i) - T_{k-1}(i, j)) / Delta_ij,
+
+    with e_{-1} = 0, e_0 = 1/a_i and T_0(i, j) = 0.  As L_i = (a_i + c_i
+    (zeta - zeta_i)) E, the diagonal T_k(i, i) = a_i e_k + c_i e_{k-1} gives
+    e_k; it is minus the row's off-diagonal sum.  The cost is O(p m^2).  The
+    result's diagonal is again the negative row sum; a row whose weight is
+    exactly 0 is not finite.
     """
     if p < 1:
         raise ValueError("derivative order must be positive")
     if p > MAX_ORDER:
         raise ValueError("unsupported order")
-    z, w = model.support, model.weights
-    m = model.m
-    U = (z[:, None] - z[None, :]) / 2.0
-    off = ~np.eye(m, dtype=bool)
-    kernel = np.zeros((m, m), dtype=complex)
-    kernel[off] = _cst_values(model.parity, U[off])
-    ratio = np.ones((m, m), dtype=complex)
-    ratio[off] = (w[None, :] / w[:, None])[off]
-
-    D1 = 0.5 * ratio * kernel
-    np.fill_diagonal(D1, 0.0)
-    np.fill_diagonal(D1, -np.sum(D1, axis=1))
-    mats = [np.eye(m, dtype=complex), D1]
-
-    if p >= 2:
-        if model.parity is Parity.EVEN:
-            # Distance to the nearest odd multiple of pi/2.
-            shifted = np.mod(U[off].real, np.pi) - np.pi / 2.0
-            near = np.abs(shifted + 1j * U[off].imag) < ANTIPODAL_GUARD
-            if np.any(near):
-                raise ValueError(
-                    "support pair separated by an odd multiple of pi: "
-                    "orders >= 2 are not supported for even parity there"
-                )
-        R = _recip_derivs(model.parity, U, p)
-        half = 0.5 ** np.arange(p + 1)
-        r0 = half * _recip_derivs(model.parity, np.zeros(()), p).reshape(p + 1)
-        for order in range(2, p + 1):
-            acc = np.zeros((m, m), dtype=complex)
-            for q in range(1, order + 1):
-                prev = mats[order - q]
-                acc += comb(order, q) * (
-                    ratio * np.diag(prev)[:, None] * r0[q]
-                    - prev * (half[q] * R[q])
-                )
-            Dq = kernel * acc
-            np.fill_diagonal(Dq, 0.0)
-            np.fill_diagonal(Dq, -np.sum(Dq, axis=1))
-            mats.append(Dq)
-    return DiffMatrix(p, mats[p])
+    zeta, a, c = _zeta_form(model, 1.0)
+    off = ~np.eye(model.m, dtype=bool)
+    delta = zeta[:, None] - zeta
+    inv = np.zeros_like(delta)
+    inv[off] = 1.0 / delta[off]
+    numer = a + c * delta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_prev, e = np.zeros_like(a), 1.0 / a
+        T = np.zeros_like(inv)
+        taylor = []
+        for _ in range(p):
+            T = (numer * e[:, None] + c * e_prev[:, None] - T) * inv
+            e_prev, e = e, (-np.sum(T, axis=1) - c * e) / a
+            taylor.append(T)
+        D = _z_derivative(1.0, zeta[:, None], taylor)
+    np.fill_diagonal(D, -np.sum(D, axis=1))
+    return DiffMatrix(p, D)
 
 
 def derivative_at(model: TrigModel, z, p: int):
     """p-th derivative of the rational at points away from the support.
 
     A scalar z gives a complex, an array z an array of its shape.  With
-    zeta = e^{isz} and s the sign of Im z, the model is R(zeta) with nodes
-    zeta_j = e^{isz_j} and weights w_j e^{isz_j/2} (odd), or 2 w_j zeta_j plus
-    a node at infinity of weight sum_j w_j (even).  One divided-difference
+    zeta = e^{isz} and s the sign of Im z, the model is a classical
+    barycentric rational R(zeta) (trigbary._zeta_form).  One divided-difference
     pass per order gives R^{(k)}/k!, at O(N m p) for N points; every sum is
     taken per point, so a point's derivative does not depend on the batch
     it is in.  Points within 1e-8 of a support point must use
@@ -145,23 +104,30 @@ def derivative_at(model: TrigModel, z, p: int):
 def _derivative_block(model, s, zc, p):
     # Schneider & Werner: with d_j = R[zeta^(k), zeta_j] and T_k = R^{(k)}/k!,
     # d_j <- (T_{k-1} - d_j)/(zeta - zeta_j) and T_k = sum_j a_j d_j/(zeta - zeta_j) / D.
-    zeta_j = np.exp(s * 1j * model.support)
+    zeta_j, a, c = _zeta_form(model, s)
     zeta = np.exp(s * 1j * zc)
     diff = zeta[:, None] - zeta_j
     if np.any(np.abs(diff) < SUPPORT_GUARD * np.abs(zeta_j)):
         raise ValueError("too close to a support point; use diff_matrix")
-    w, f = model.weights, model.fvals
-    if model.parity is Parity.ODD:
-        a, head, head_f = w * np.exp(s * 0.5j * model.support), 0.0, 0.0
-    else:
-        a, head, head_f = 2.0 * w * zeta_j, np.sum(w), np.sum(w * f)
+    f = model.fvals
     cauchy = a / diff
-    den = head + np.einsum("ij->i", cauchy)
-    t = (head_f + np.einsum("ij,j->i", cauchy, f)) / den
+    den = np.sum(c) + np.einsum("ij->i", cauchy)
+    t = (np.sum(c * f) + np.einsum("ij,j->i", cauchy, f)) / den
     d = f
-    out = 0j
-    for k, stirling in enumerate(STIRLING2[p - 1], start=1):
+    taylor = []
+    for _ in range(p):
         d = (t[:, None] - d) / diff
         t = np.einsum("ij,ij->i", cauchy, d) / den
+        taylor.append(t)
+    return _z_derivative(s, zeta, taylor)
+
+
+def _z_derivative(s, zeta, taylor):
+    """r^{(p)}(z) from taylor[k - 1] = R^{(k)}(zeta)/k!, k = 1..p, at zeta = e^{isz}.
+
+    d/dz = is * zeta d/dzeta, expanded with the Stirling numbers STIRLING2.
+    """
+    out = 0j
+    for k, (stirling, t) in enumerate(zip(STIRLING2[len(taylor) - 1], taylor), start=1):
         out = out + stirling * factorial(k) * zeta**k * t
-    return (1j * s) ** p * out
+    return (1j * s) ** len(taylor) * out

@@ -20,7 +20,7 @@ from .trigbary import (
     TrigModel,
     _canonicalize_array,
     _cst_values,
-    cst_derivatives,
+    _zeta_form,
     far_field,
     strip_distance,
 )
@@ -83,13 +83,9 @@ class PartialFractions:
 
 def transform(model: TrigModel) -> TransformedBarycentric:
     """Substitute zeta = e^{iz} to reach ordinary barycentric form."""
-    z, w, f = model.support, model.weights, model.fvals
-    zeta = np.exp(1j * z)
-    if model.parity is Parity.ODD:
-        return TransformedBarycentric(zeta, w * np.exp(1j * z / 2.0), f, 0j, 0j)
-    return TransformedBarycentric(
-        zeta, 2.0 * w * zeta, f, complex(np.sum(f * w)), complex(np.sum(w))
-    )
+    zeta, a, c = _zeta_form(model, 1.0)
+    f = model.fvals
+    return TransformedBarycentric(zeta, a, f, complex(np.sum(f * c)), complex(np.sum(c)))
 
 
 def _eigen_candidates(tb: TransformedBarycentric, use_numerator: bool) -> np.ndarray:
@@ -121,10 +117,18 @@ def _kernel_sum(model: TrigModel, z: np.ndarray, coeff: np.ndarray):
     """sum_j c_j cst((z - z_j)/2) and its z-derivative at each point of z,
     with the largest term magnitude of each sum (non-finite if any term is)."""
     u = (z[:, None] - model.support[None, :]) / 2.0
-    kernel = cst_derivatives(model.parity, u, 1)
-    with np.errstate(invalid="ignore"):
-        terms = coeff * kernel[0]
-        dterms = 0.5 * coeff * kernel[1]
+    kernel = _cst_values(model.parity, u)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # csc' = -csc*cot and cot' = -1 - cot^2.  cot is named so that numpy
+        # cannot reuse it as a temporary and swap the factors: complex
+        # products do not commute bit for bit.
+        if model.parity is Parity.ODD:
+            cot = _cst_values(Parity.EVEN, u)
+            dkernel = -(kernel * cot)
+        else:
+            dkernel = -1.0 + kernel * -kernel
+        terms = coeff * kernel
+        dterms = 0.5 * coeff * dkernel
     return (
         np.sum(terms, axis=1),
         np.sum(dterms, axis=1),

@@ -13,11 +13,9 @@ canonical strip 0 <= Re(z) < 2*pi.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.polynomial.polynomial as P
 
 TWO_PI = 2.0 * np.pi
 
@@ -128,44 +126,6 @@ def cst(parity: Parity, u: complex) -> complex:
     if abs(u - k * np.pi) < 1e-14:
         raise ValueError("basis singularity")
     return complex(_cst_values(parity, np.asarray(u)))
-
-
-def cst_derivatives(parity: Parity, u, order: int) -> np.ndarray:
-    """Derivatives d^q/du^q of the basis kernel for q = 0..order.
-
-    Uses the closed recursions csc' = -csc*cot and cot' = -csc^2, carried
-    as polynomials in cot(u).  Returns an array of shape (order+1,) + u.shape.
-    """
-    u = np.asarray(u, dtype=complex)
-    cot_u = _cst_values(Parity.EVEN, u)
-    odd = parity is Parity.ODD
-    out = np.empty((order + 1,) + u.shape, dtype=complex)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for q, poly in enumerate(derivative_polys("csc" if odd else "cot", order)):
-            out[q] = P.polyval(cot_u, poly)
-        if odd:
-            out = _cst_values(Parity.ODD, u) * out
-    return out
-
-
-# d^q/du^q of a kernel is P_q(x) (times csc u for csc), x = cot u or tan u,
-# with P_{q+1} = a*P_q + g*P_q'.  Entries are (P_0, a, g), ascending.
-_DERIVATIVE_RECURRENCES = {
-    "cot": ([0.0, 1.0], [0.0], [-1.0, 0.0, -1.0]),
-    "csc": ([1.0], [0.0, -1.0], [-1.0, 0.0, -1.0]),
-    "tan": ([0.0, 1.0], [0.0], [1.0, 0.0, 1.0]),
-}
-
-
-@functools.lru_cache(maxsize=None)
-def derivative_polys(kernel: str, order: int) -> tuple:
-    """P_0..P_order of the kernel's derivative recurrence (see above)."""
-    p0, a, g = _DERIVATIVE_RECURRENCES[kernel]
-    if order == 0:
-        return (np.asarray(p0),)
-    polys = derivative_polys(kernel, order - 1)
-    p = polys[-1]
-    return polys + (P.polyadd(P.polymul(a, p), P.polymul(g, P.polyder(p))),)
 
 
 @dataclass(frozen=True)
@@ -349,6 +309,23 @@ def _zeta_ratio(model, s, zc):
         numer = zeta + zeta_j
         weights = model.weights
     return barycentric_ratio(zeta - zeta_j, np.abs(zeta_j), numer, weights, model.fvals)
+
+
+def _zeta_form(model, s):
+    """Nodes zeta_j, Cauchy weights a_j and heads c_j of the model in zeta = e^{isz}.
+
+    r(z) = R(zeta) = sum_j (a_j/(zeta - zeta_j) + c_j) f_j / sum_j (a_j/(zeta - zeta_j) + c_j),
+    a classical barycentric rational (Baddoo, sec. 3).  Up to a factor
+    common to every j, csc((z - z_j)/2) is e^{isz_j/2}/(zeta - zeta_j), so
+    odd parity has a_j = w_j e^{isz_j/2} and c_j = 0; cot((z - z_j)/2) is
+    1 + 2 zeta_j/(zeta - zeta_j), so even parity has a_j = 2 w_j zeta_j and
+    c_j = w_j, a node at infinity of weight sum_j w_j.
+    """
+    zeta_j = np.exp(s * 1j * model.support)
+    w = model.weights
+    if model.parity is Parity.ODD:
+        return zeta_j, w * np.exp(s * 0.5j * model.support), np.zeros_like(w)
+    return zeta_j, 2.0 * w * zeta_j, w
 
 
 def barycentric_ratio(diff, scale, numer, weights, fvals) -> np.ndarray:

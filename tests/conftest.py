@@ -1,8 +1,11 @@
-"""Shared helpers: random model generation and an independent root finder."""
+"""Shared helpers: random model generation, a Cauchy-integral derivative
+oracle and an independent root finder."""
+
+from math import factorial
 
 import numpy as np
 
-from aaatrig.trigbary import Parity, TrigModel, TWO_PI, strip_distance
+from aaatrig.trigbary import Parity, TrigModel, TWO_PI, evaluate_batch, strip_distance
 
 
 RANDOM_MODEL_SEPARATION = 0.35
@@ -34,6 +37,17 @@ def random_model(rng, m, parity, force_pi=False, im_range=0.3):
     fvals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     weights = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     return TrigModel.build(parity, np.asarray(pts), fvals, weights)
+
+
+def cauchy_derivative(model, z, p, radius, nodes=64):
+    """r^{(p)}(z) by the trapezoidal rule on the Cauchy integral over the
+    circle |t - z| = radius, from evaluate_batch only.  radius must stay
+    below the distance from z to the model's nearest pole; the error then
+    falls like (radius / distance)**nodes, and rounding adds about
+    eps * max|r| * p! / radius**p."""
+    w = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    z = np.asarray(z, dtype=complex)
+    return factorial(p) * np.mean(evaluate_batch(model, z[..., None] + w) * w**-p, axis=-1)
 
 
 def kernel_and_derivative(parity, u):

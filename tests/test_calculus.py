@@ -13,7 +13,7 @@ from aaatrig.trigbary import (
     interpolatory_weights,
 )
 
-from conftest import random_model
+from conftest import cauchy_derivative, random_model
 
 
 def odd_worked():
@@ -51,10 +51,11 @@ class TestDiffMatrix:
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_row_sums_vanish(self, p):
         rng = np.random.default_rng(4)
-        model = random_model(rng, 7, Parity.ODD)
-        D = diff_matrix(model, p).entries
-        sums = np.abs(D.sum(axis=1))
-        assert np.max(sums) <= 1e-12 * np.max(np.abs(D))
+        for parity in Parity:
+            model = random_model(rng, 7, parity)
+            D = diff_matrix(model, p).entries
+            sums = np.abs(D.sum(axis=1))
+            assert np.max(sums) <= 1e-12 * np.max(np.abs(D))
 
     def test_interpolatory_derivative(self):
         model = interpolant_of(lambda z: np.exp(np.sin(z)), 64)
@@ -81,12 +82,14 @@ class TestDiffMatrix:
         assert np.max(np.abs(a - b)) <= 1e-6 * np.max(np.abs(a))
 
     def test_high_orders_against_analytic(self):
-        model = interpolant_of(np.sin, 21)
-        sup = model.support
-        truth = {2: -np.sin(sup), 3: -np.cos(sup), 4: np.sin(sup)}
-        for p, want in truth.items():
-            got = diff_matrix(model, p).entries @ model.fvals
-            assert np.max(np.abs(got - want)) <= 1e-7
+        # 32 points: an even interpolant, whose support pairs sit pi apart.
+        for n in (21, 32):
+            model = interpolant_of(np.sin, n)
+            sup = model.support
+            truth = {2: -np.sin(sup), 3: -np.cos(sup), 4: np.sin(sup)}
+            for p, want in truth.items():
+                got = diff_matrix(model, p).entries @ model.fvals
+                assert np.max(np.abs(got - want)) <= 1e-7
 
     def test_order_cap(self):
         with pytest.raises(ValueError, match="unsupported order"):
@@ -94,13 +97,49 @@ class TestDiffMatrix:
         with pytest.raises(ValueError):
             diff_matrix(odd_worked(), 0)
 
-    def test_even_antipodal_guard(self):
+    def test_even_antipodal_pairs(self):
+        # r(z) = 3/2 - sec(z - 0.5)/2, whose sec has derivatives 0, 1, 0, 5
+        # at 0 and 0, -1, 0, -5 at pi.
         model = TrigModel.build(
             Parity.EVEN, [0.5, 0.5 + np.pi], [1.0, 2.0], [1.0, 1.0]
         )
-        assert np.all(np.isfinite(diff_matrix(model, 1).entries.real))
-        with pytest.raises(ValueError, match="antipodal|odd multiple"):
-            diff_matrix(model, 2)
+        for p, sec in enumerate([0.0, 1.0, 0.0, 5.0], start=1):
+            D = diff_matrix(model, p).entries
+            assert np.all(np.isfinite(D))
+            assert np.max(np.abs(D.sum(axis=1))) <= 1e-14 * np.max(np.abs(D))
+            assert np.max(np.abs(D @ model.fvals - [-sec / 2, sec / 2])) <= 1e-13
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_zero_weight_row(self, parity):
+        # Only the row of a weight that is exactly 0 is not finite; the
+        # other rows are the matrix of the model without that point.
+        rng = np.random.default_rng(8)
+        base = random_model(rng, 6, parity)
+        w = np.array(base.weights)
+        w[2] = 0.0
+        model = TrigModel.build(parity, base.support, base.fvals, w)
+        keep = [0, 1, 3, 4, 5]
+        reduced = TrigModel.build(parity, base.support[keep], base.fvals[keep], w[keep])
+        for p in range(1, 5):
+            D = diff_matrix(model, p).entries
+            assert np.flatnonzero(~np.all(np.isfinite(D), axis=1)).tolist() == [2]
+            assert np.all(D[keep, 2] == 0.0)
+            want = diff_matrix(reduced, p).entries
+            assert np.max(np.abs(D[np.ix_(keep, keep)] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_fitted_even_against_cauchy_oracle(self):
+        # Generic fitted weights exercise the even node at infinity; this
+        # seed's support has a pair within 1e-2 of pi apart.
+        rng = np.random.default_rng(1)
+        x = rng.uniform(0.0, TWO_PI, 400)
+        f = np.exp(np.sin(x)) * (1.0 + 0.3 * np.cos(3.0 * x))
+        model = fit(SampleSet.from_data(x, f), FitConfig(parity=Parity.EVEN))
+        d = model.support[:, None] - model.support[None, :]
+        assert np.min(np.abs(np.mod(d.real, TWO_PI) - np.pi)) < 1e-2
+        for p in (2, 4):
+            got = diff_matrix(model, p).entries @ model.fvals
+            want = cauchy_derivative(model, model.support, p, 0.5)
+            assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
 
 class TestDerivativeAt:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from aaatrig.polezero import (
+    _kernel_sum,
     partial_fraction_eval,
     partial_fractions,
     poles_and_zeros,
@@ -187,6 +188,25 @@ class TestNearPiSupport:
             if len(pts):
                 total, ref = barycentric_sum(model, pts, use_numerator=use_num)
                 assert np.all(np.abs(total) <= 1e-6 * ref)
+
+
+class TestKernelSum:
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_derivative_against_finite_differences(self, parity):
+        # Kernel arguments (z - z_j)/2 at |Im| about 0.25, 19.5 and 20.5: on
+        # both sides of LARGE_IMAG, where _cst_values turns exponential.
+        h = 1e-5
+        rng = np.random.default_rng(1)
+        model = random_model(rng, 5, parity)
+        heights = np.repeat([0.5, 39.0, 41.0, -0.5, -39.0, -41.0], 4)
+        z = rng.uniform(0.0, TWO_PI, len(heights)) + 1j * heights
+        total, deriv, ref, dref = _kernel_sum(model, z, model.weights)
+        direct, _ = barycentric_sum(model, z)
+        assert np.all(np.abs(total - direct) <= 1e-12 * ref)
+        fd = (_kernel_sum(model, z + h, model.weights)[0]
+              - _kernel_sum(model, z - h, model.weights)[0]) / (2 * h)
+        # FD rounding is about eps * m * ref / h.
+        assert np.all(np.abs(deriv - fd) <= 1e-7 * dref + 1e-9 * ref)
 
 
 class TestResidues:

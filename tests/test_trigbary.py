@@ -12,7 +12,6 @@ from aaatrig.trigbary import (
     TWO_PI,
     canonicalize,
     cst,
-    cst_derivatives,
     evaluate,
     evaluate_batch,
     far_field,
@@ -80,41 +79,6 @@ class TestCst:
     def test_no_overflow_far_out(self):
         val = cst(Parity.EVEN, 0.7 + 500j)
         assert np.isfinite(val.real) and abs(val + 1j) < 1e-100
-
-
-class TestCstDerivatives:
-    @pytest.mark.parametrize("parity", list(Parity))
-    def test_against_finite_differences(self, parity):
-        h = 1e-5
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            u = complex(rng.uniform(0.3, 2.8), rng.uniform(-0.5, 0.5))
-            d = cst_derivatives(parity, u, 2)
-
-            def f(x):
-                return 1 / np.sin(x) if parity is Parity.ODD else np.cos(x) / np.sin(x)
-
-            fd1 = (f(u + h) - f(u - h)) / (2 * h)
-            fd2 = (f(u + h) - 2 * f(u) + f(u - h)) / h**2
-            assert abs(d[0] - f(u)) < 1e-13 * abs(f(u))
-            assert abs(d[1] - fd1) < 1e-8 * (1 + abs(fd1))
-            assert abs(d[2] - fd2) < 1e-5 * (1 + abs(fd2))
-
-    @pytest.mark.parametrize("parity", list(Parity))
-    def test_orders_three_and_four_closed_forms(self, parity):
-        rng = np.random.default_rng(2)
-        u = rng.uniform(0.3, 2.8, 20) + 1j * rng.uniform(-0.5, 0.5, 20)
-        x = np.cos(u) / np.sin(u)
-        if parity is Parity.ODD:
-            csc = 1 / np.sin(u)
-            third = -csc * x * (5 + 6 * x**2)
-            fourth = csc * (5 + 28 * x**2 + 24 * x**4)
-        else:
-            third = -2 * (1 + x**2) * (1 + 3 * x**2)
-            fourth = 8 * x * (1 + x**2) * (2 + 3 * x**2)
-        d = cst_derivatives(parity, u, 4)
-        assert np.all(np.abs(d[3] - third) <= 1e-12 * (1 + np.abs(third)))
-        assert np.all(np.abs(d[4] - fourth) <= 1e-12 * (1 + np.abs(fourth)))
 
 
 class TestEvaluate:
