@@ -66,8 +66,8 @@ def evaluate_aaa(model: AaaModel, zs) -> np.ndarray:
     """Evaluate the classic barycentric rational elementwise."""
     zs = np.asarray(zs, dtype=complex)
     diff = np.atleast_1d(zs).ravel()[:, None] - model.support[None, :]
-    # Kernel 1/(z - z_j); a support hit is |z - z_j| < SUPPORT_TOL.
-    out = barycentric_ratio(diff, 1.0, 1.0, model.weights, model.fvals)
+    # Cauchy weights w_j and no heads; a support hit is |z - z_j| < SUPPORT_TOL.
+    out = barycentric_ratio(diff, 1.0, model.weights, 0.0, model.fvals)
     return out.reshape(zs.shape)
 
 

@@ -16,7 +16,7 @@ from math import factorial
 
 import numpy as np
 
-from .trigbary import TrigModel, _zeta_form, blockwise
+from .trigbary import TrigModel, _cauchy_sum, _zeta_form, blockwise
 
 MAX_ORDER = 4
 
@@ -63,7 +63,7 @@ def diff_matrix(model: TrigModel, p: int) -> DiffMatrix:
         raise ValueError("derivative order must be positive")
     if p > MAX_ORDER:
         raise ValueError("unsupported order")
-    zeta, a, c = _zeta_form(model, 1.0)
+    zeta, a, c = _zeta_form(model, 1.0, model.weights)
     off = ~np.eye(model.m, dtype=bool)
     delta = zeta[:, None] - zeta
     inv = np.zeros_like(delta)
@@ -104,16 +104,13 @@ def derivative_at(model: TrigModel, z, p: int):
 def _derivative_block(model, s, zc, p):
     # Schneider & Werner: with d_j = R[zeta^(k), zeta_j] and T_k = R^{(k)}/k!,
     # d_j <- (T_{k-1} - d_j)/(zeta - zeta_j) and T_k = sum_j a_j d_j/(zeta - zeta_j) / D.
-    zeta_j, a, c = _zeta_form(model, s)
+    zeta_j, a, c = _zeta_form(model, s, model.weights)
     zeta = np.exp(s * 1j * zc)
     diff = zeta[:, None] - zeta_j
     if np.any(np.abs(diff) < SUPPORT_GUARD * np.abs(zeta_j)):
         raise ValueError("too close to a support point; use diff_matrix")
-    f = model.fvals
-    cauchy = a / diff
-    den = np.sum(c) + np.einsum("ij->i", cauchy)
-    t = (np.sum(c * f) + np.einsum("ij,j->i", cauchy, f)) / den
-    d = f
+    cauchy, den, t = _cauchy_sum(diff, a, c, model.fvals)
+    d = model.fvals
     taylor = []
     for _ in range(p):
         d = (t[:, None] - d) / diff

@@ -249,10 +249,6 @@ def _scale_in(points: np.ndarray, period: float) -> np.ndarray:
     return points * (TWO_PI / period)
 
 
-def _scale_out(points: np.ndarray, period: float) -> np.ndarray:
-    return np.asarray(points, dtype=complex) * (period / TWO_PI)
-
-
 def _samples(args) -> SampleSet:
     """Ingest --data, with points rescaled from --period to 2*pi."""
     samples = ingest(args.data, args.format)

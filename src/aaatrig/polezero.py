@@ -4,8 +4,8 @@ The barycentric form hides its poles and zeros; they are recovered through
 the change of variable zeta = e^{iz}, which turns either parity into an
 ordinary barycentric rational in zeta, and one arrowhead generalized
 eigenvalue problem per sum.  Denominator data yields the poles, numerator
-data the zeros; every candidate must pass a residual check against the
-untransformed model before it is reported.
+data the zeros; every candidate must pass a residual check on the model's
+kernel sum, independent of the eigensolver, before it is reported.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class PartialFractions:
 
 def transform(model: TrigModel) -> TransformedBarycentric:
     """Substitute zeta = e^{iz} to reach ordinary barycentric form."""
-    zeta, a, c = _zeta_form(model, 1.0)
+    zeta, a, c = _zeta_form(model, 1.0, model.weights)
     f = model.fvals
     return TransformedBarycentric(zeta, a, f, complex(np.sum(f * c)), complex(np.sum(c)))
 
@@ -114,26 +114,31 @@ def _map_back(lam: np.ndarray) -> np.ndarray:
 
 
 def _kernel_sum(model: TrigModel, z: np.ndarray, coeff: np.ndarray):
-    """sum_j c_j cst((z - z_j)/2) and its z-derivative at each point of z,
-    with the largest term magnitude of each sum (non-finite if any term is)."""
-    u = (z[:, None] - model.support[None, :]) / 2.0
-    kernel = _cst_values(model.parity, u)
-    with np.errstate(invalid="ignore", over="ignore"):
-        # csc' = -csc*cot and cot' = -1 - cot^2.  cot is named so that numpy
-        # cannot reuse it as a temporary and swap the factors: complex
-        # products do not commute bit for bit.
-        if model.parity is Parity.ODD:
-            cot = _cst_values(Parity.EVEN, u)
-            dkernel = -(kernel * cot)
-        else:
-            dkernel = -1.0 + kernel * -kernel
-        terms = coeff * kernel
-        dterms = 0.5 * coeff * dkernel
+    """sum_j coeff_j cst((z - z_j)/2) and its z-derivative at each point of z,
+    with the largest term magnitude of each sum (non-finite if any term is).
+
+    In zeta = e^{iz} the sum is h * sum_j (a_j/(zeta - zeta_j) + c_j), with
+    (zeta_j, a_j, c_j) the :func:`_zeta_form` of coeff and h = 2i e^{iz/2}
+    (odd) or i (even).  The derivative follows from d/dz = i zeta d/dzeta,
+    so nothing cancels far from the real axis.
+    """
+    zeta_j, a, c = _zeta_form(model, 1.0, coeff)
+    zeta = np.exp(1j * z)[:, None]
+    if model.parity is Parity.ODD:
+        h, dlog_h = 2j * np.exp(0.5j * z), 0.5j
+    else:
+        h, dlog_h = 1j, 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        diff = zeta - zeta_j
+        terms = (a + c * diff) / diff
+        # Each term's z-derivative, over h.
+        dterms = dlog_h * terms - 1j * zeta * a / diff**2
+    habs = np.abs(h)
     return (
-        np.sum(terms, axis=1),
-        np.sum(dterms, axis=1),
-        np.max(np.abs(terms), axis=1),
-        np.max(np.abs(dterms), axis=1),
+        h * np.sum(terms, axis=1),
+        h * np.sum(dterms, axis=1),
+        habs * np.max(np.abs(terms), axis=1),
+        habs * np.max(np.abs(dterms), axis=1),
     )
 
 
@@ -216,8 +221,7 @@ def _pf_constant(model: TrigModel) -> complex:
 
 def _quotient_parts(model: TrigModel, poles: np.ndarray):
     """Numerator n(p), denominator derivative d'(p) and its largest term."""
-    # f*w, not w*f: numpy's complex product need not round symmetrically.
-    num, _, _, _ = _kernel_sum(model, poles, model.fvals * model.weights)
+    num, _, _, _ = _kernel_sum(model, poles, model.weights * model.fvals)
     _, dprime, _, ref = _kernel_sum(model, poles, model.weights)
     return num, dprime, ref
 
@@ -234,7 +238,7 @@ def _residues_unchecked(model: TrigModel, poles) -> np.ndarray:
 def residues(model: TrigModel, poles) -> np.ndarray:
     """Classical residues Res_{z=p} r(z) = n(p)/d'(p) at simple poles.
 
-    d' is evaluated analytically through csc' = -csc*cot and cot' = -csc^2.
+    d' is evaluated analytically in zeta = e^{iz} (:func:`_kernel_sum`).
     The partial-fraction coefficient of the cotangent form is half of the
     classical residue.  Raises for (numerically) non-simple poles.
     """
@@ -276,7 +280,7 @@ def partial_fraction_eval(pf: PartialFractions, z) -> np.ndarray:
     if len(pf.poles) == 0:
         return np.full(z.shape, pf.constant)
     u = (z[:, None] - pf.poles[None, :]) / 2.0
-    return _cst_values(Parity.EVEN, u) @ pf.coefficients + pf.constant
+    return np.einsum("ij,j->i", _cst_values(Parity.EVEN, u), pf.coefficients) + pf.constant
 
 
 def taper_fit(points, corner: complex, k_max: int) -> TaperFit:

@@ -81,36 +81,21 @@ def strip_distance(a, b):
 
 
 def _cst_values(parity: Parity, u: np.ndarray) -> np.ndarray:
-    """Vectorised csc/cot with exponential forms for large |Im(u)|.
+    """Vectorised csc/cot: 1/sin and cos/sin, exponential where |Im(u)| > LARGE_IMAG.
 
-    No singularity checks; callers are responsible for staying away from
-    the real multiples of pi.
+    There, with s the sign of Im(u) and e = e^{isu}, csc u = 2is e/(e^2 - 1)
+    and cot u = is (e^2 + 1)/(e^2 - 1).  No singularity checks; callers are
+    responsible for staying away from the real multiples of pi.
     """
     u = np.asarray(u, dtype=complex)
-    out = np.empty(u.shape, dtype=complex)
-    big_pos = u.imag > LARGE_IMAG
-    big_neg = u.imag < -LARGE_IMAG
-    rest = ~(big_pos | big_neg)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if parity is Parity.ODD:
-            if np.any(rest):
-                out[rest] = 1.0 / np.sin(u[rest])
-            if np.any(big_pos):
-                up = u[big_pos]
-                out[big_pos] = 2j * np.exp(1j * up) / (np.exp(2j * up) - 1.0)
-            if np.any(big_neg):
-                un = u[big_neg]
-                out[big_neg] = 2j * np.exp(-1j * un) / (1.0 - np.exp(-2j * un))
-        else:
-            if np.any(rest):
-                ur = u[rest]
-                out[rest] = np.cos(ur) / np.sin(ur)
-            if np.any(big_pos):
-                x = np.exp(2j * u[big_pos])
-                out[big_pos] = 1j * (x + 1.0) / (x - 1.0)
-            if np.any(big_neg):
-                y = np.exp(-2j * u[big_neg])
-                out[big_neg] = 1j * (1.0 + y) / (y - 1.0) * (-1.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = 1.0 / np.sin(u) if parity is Parity.ODD else np.cos(u) / np.sin(u)
+        far = np.abs(u.imag) > LARGE_IMAG
+        if np.any(far):
+            s = np.sign(u.imag[far])
+            e = np.exp(1j * s * u[far])
+            numer = 2.0 * e if parity is Parity.ODD else e * e + 1.0
+            out[far] = 1j * s * numer / (e * e - 1.0)
     return out
 
 
@@ -125,7 +110,7 @@ def cst(parity: Parity, u: complex) -> complex:
     k = np.round(u.real / np.pi)
     if abs(u - k * np.pi) < 1e-14:
         raise ValueError("basis singularity")
-    return complex(_cst_values(parity, np.asarray(u)))
+    return complex(_cst_values(parity, np.asarray([u]))[0])
 
 
 @dataclass(frozen=True)
@@ -261,9 +246,19 @@ def evaluate(model: TrigModel, z: complex) -> complex:
 def evaluate_batch(model: TrigModel, zs) -> np.ndarray:
     """Elementwise evaluation preserving input order.
 
-    A point's value does not depend on the batch it is in.
+    Each point is evaluated as the classical barycentric rational of
+    :func:`_zeta_form` in zeta = e^{isz}, with s the sign of Im z.  A point's
+    value does not depend on the batch it is in.
     """
-    return blockwise(lambda s, zc: _zeta_ratio(model, s, zc), zs)
+
+    def block(s, zc):
+        zeta_j, a, c = _zeta_form(model, s, model.weights)
+        diff = np.exp(s * 1j * zc)[:, None] - zeta_j
+        # |zeta - zeta_j| / |zeta_j| is |z - z_j| to first order, over the
+        # 2*pi shifts.
+        return barycentric_ratio(diff, np.abs(zeta_j), a, c, model.fvals)
+
+    return blockwise(block, zs)
 
 
 def blockwise(fn, zs) -> np.ndarray:
@@ -290,28 +285,7 @@ def blockwise(fn, zs) -> np.ndarray:
     return out.reshape(zs.shape)
 
 
-def _zeta_ratio(model, s, zc):
-    """The model as a classical barycentric rational in zeta = e^{isz}.
-
-    Up to a factor common to every j, which cancels in the ratio (Baddoo,
-    sec. 3), csc((z - z_j)/2) is e^{-isz_j/2} zeta_j/(zeta - zeta_j) and
-    cot((z - z_j)/2) is (zeta + zeta_j)/(zeta - zeta_j).  The kernels cost
-    exponentials of the points and of the support only; at zeta = 0 both
-    are -1, which is the far-field limit.  |zeta - zeta_j| / |zeta_j| is
-    |z - z_j| to first order, over the 2*pi shifts.
-    """
-    zeta = np.exp(s * 1j * zc)[:, None]
-    zeta_j = np.exp(s * 1j * model.support)
-    if model.parity is Parity.ODD:
-        numer = zeta_j
-        weights = model.weights * np.exp(-s * 0.5j * model.support)
-    else:
-        numer = zeta + zeta_j
-        weights = model.weights
-    return barycentric_ratio(zeta - zeta_j, np.abs(zeta_j), numer, weights, model.fvals)
-
-
-def _zeta_form(model, s):
+def _zeta_form(model, s, weights):
     """Nodes zeta_j, Cauchy weights a_j and heads c_j of the model in zeta = e^{isz}.
 
     r(z) = R(zeta) = sum_j (a_j/(zeta - zeta_j) + c_j) f_j / sum_j (a_j/(zeta - zeta_j) + c_j),
@@ -319,32 +293,42 @@ def _zeta_form(model, s):
     common to every j, csc((z - z_j)/2) is e^{isz_j/2}/(zeta - zeta_j), so
     odd parity has a_j = w_j e^{isz_j/2} and c_j = 0; cot((z - z_j)/2) is
     1 + 2 zeta_j/(zeta - zeta_j), so even parity has a_j = 2 w_j zeta_j and
-    c_j = w_j, a node at infinity of weight sum_j w_j.
+    c_j = w_j, a node at infinity of weight sum_j w_j.  The w_j are the
+    given weights, which may be the model's or any coefficients on its
+    support.  At zeta = 0 both kernels reach the far-field limit.
     """
     zeta_j = np.exp(s * 1j * model.support)
-    w = model.weights
     if model.parity is Parity.ODD:
-        return zeta_j, w * np.exp(s * 0.5j * model.support), np.zeros_like(w)
-    return zeta_j, 2.0 * w * zeta_j, w
+        return zeta_j, weights * np.exp(s * 0.5j * model.support), np.zeros_like(weights)
+    return zeta_j, 2.0 * weights * zeta_j, weights
 
 
-def barycentric_ratio(diff, scale, numer, weights, fvals) -> np.ndarray:
-    """sum_j f_j w_j K_j / sum_j w_j K_j per row, with kernel K = numer / diff.
+def barycentric_ratio(diff, scale, a, c, fvals) -> np.ndarray:
+    """The value of :func:`_cauchy_sum` per row, with the rules for a hit.
 
-    diff holds each point's difference to each support point.  A row with
+    diff holds each point's difference to each node.  A row with
     |diff_j| < SUPPORT_TOL * scale_j takes the support value f_j; a row
-    whose denominator vanishes exactly takes POLE_VALUE.  No product or sum
-    mixes rows, so a point's value does not depend on the batch it is in.
+    whose denominator vanishes exactly takes POLE_VALUE.
     """
     near = np.abs(diff) < SUPPORT_TOL * scale
     with np.errstate(divide="ignore", invalid="ignore"):
-        kernel = numer / diff
-        den = np.einsum("ij,j->i", kernel, weights)
-        out = np.einsum("ij,j->i", kernel, weights * fvals) / den
+        _, den, out = _cauchy_sum(diff, a, c, fvals)
     out[den == 0.0] = POLE_VALUE
     hit = near.any(axis=1)
     out[hit] = fvals[np.argmax(near[hit], axis=1)]
     return out
+
+
+def _cauchy_sum(diff, a, c, f):
+    """Terms a_j/diff_j, denominator and value of a barycentric rational per row.
+
+    Row i's value is sum_j (a_j/diff_ij + c_j) f_j / sum_j (a_j/diff_ij + c_j).
+    No product or sum mixes rows, so a point's value does not depend on the
+    batch it is in.
+    """
+    cauchy = a / diff
+    den = np.sum(c) + np.einsum("ij->i", cauchy)
+    return cauchy, den, (np.sum(c * f) + np.einsum("ij,j->i", cauchy, f)) / den
 
 
 def far_field(model: TrigModel) -> FarField:

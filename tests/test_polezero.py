@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -193,8 +194,8 @@ class TestNearPiSupport:
 class TestKernelSum:
     @pytest.mark.parametrize("parity", list(Parity))
     def test_derivative_against_finite_differences(self, parity):
-        # Kernel arguments (z - z_j)/2 at |Im| about 0.25, 19.5 and 20.5: on
-        # both sides of LARGE_IMAG, where _cst_values turns exponential.
+        # Points at |Im z| about 0.5, 39 and 41, above and below the real
+        # axis, where zeta = e^{iz} is near 1, tiny or huge.
         h = 1e-5
         rng = np.random.default_rng(1)
         model = random_model(rng, 5, parity)
@@ -207,6 +208,25 @@ class TestKernelSum:
               - _kernel_sum(model, z - h, model.weights)[0]) / (2 * h)
         # FD rounding is about eps * m * ref / h.
         assert np.all(np.abs(deriv - fd) <= 1e-7 * dref + 1e-9 * ref)
+
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    @pytest.mark.parametrize("y", [5.0, 10.0, 18.0, 25.0, 40.0, -18.0, -40.0])
+    def test_derivative_against_mpmath_off_axis(self, parity, y):
+        # Far from the axis cot' = -1 - cot^2 cancels; the derivative must
+        # keep its relative accuracy there.
+        model = random_model(np.random.default_rng(2), 5, parity)
+        z = 1.3 + 1j * y
+        _, deriv, _, _ = _kernel_sum(model, np.asarray([z]), model.weights)
+        with mpmath.workdps(40):
+            exact = mpmath.mpc(0)
+            for zj, wj in zip(model.support, model.weights):
+                u = (mpmath.mpc(z) - mpmath.mpc(zj)) / 2
+                csc = mpmath.csc(u)
+                dk = -csc * mpmath.cot(u) if parity is Parity.ODD else -csc * csc
+                exact += mpmath.mpc(wj) * dk / 2
+            exact = complex(exact)
+        assert abs(deriv[0] - exact) <= 1e-12 * abs(exact)
 
 
 class TestResidues:
@@ -289,6 +309,17 @@ class TestPartialFractions:
                 direct = evaluate_batch(model, zs)
                 recon = partial_fraction_eval(pf, zs)
                 assert np.all(np.abs(recon - direct) <= 1e-8 * (1 + np.abs(direct)))
+
+    def test_eval_independent_of_batch(self):
+        # A point's value must not depend on the batch it is evaluated in.
+        rng = np.random.default_rng(48)
+        for parity in Parity:
+            for _ in range(20):
+                pf = partial_fractions(random_model(rng, 6, parity))
+                zs = rng.uniform(0, TWO_PI, 257) + 1j * rng.uniform(-1.5, 1.5, 257)
+                batch = partial_fraction_eval(pf, zs)
+                alone = np.array([partial_fraction_eval(pf, zs[i:i + 1])[0] for i in range(257)])
+                assert np.array_equal(alone, batch)
 
     def test_odd_far_field_identity_random(self):
         rng = np.random.default_rng(47)

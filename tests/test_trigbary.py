@@ -79,6 +79,13 @@ class TestCst:
     def test_no_overflow_far_out(self):
         val = cst(Parity.EVEN, 0.7 + 500j)
         assert np.isfinite(val.real) and abs(val + 1j) < 1e-100
+        # Past |Im u| ~ 710, where sin and cos overflow: csc -> 0 and
+        # cot -> -+i for Im u -> +-infinity.
+        for sign in (1.0, -1.0):
+            for parity, limit in ((Parity.ODD, 0.0), (Parity.EVEN, -sign * 1j)):
+                val = cst(parity, 0.7 + sign * 800j)
+                assert np.isfinite(val.real) and np.isfinite(val.imag)
+                assert abs(val - limit) < 1e-100
 
 
 class TestEvaluate:
