@@ -222,15 +222,11 @@ def _parse_finf(text: str, parity: Parity) -> FarField:
         vals = [complex(a, b) for a, b in pairs]
     except (ValueError, TypeError):
         raise ValueError(f"malformed --finf value {text!r}")
-    if parity is Parity.EVEN:
-        if len(vals) != 1:
-            raise ValueError("even parity takes a single far-field value")
-        return FarField(vals[0], vals[0])
-    if len(vals) == 1:
-        return FarField(vals[0], vals[0])
-    if len(vals) == 2:
-        return FarField(vals[0], vals[1])
-    raise ValueError("--finf takes at most two values")
+    if parity is Parity.EVEN and len(vals) > 1:
+        raise ValueError("even parity takes a single far-field value")
+    if len(vals) > 2:
+        raise ValueError("--finf takes at most two values")
+    return FarField(vals[0], vals[-1])
 
 
 def _fit_config(args) -> solver.FitConfig:

@@ -197,18 +197,16 @@ def poles_and_zeros(model: TrigModel) -> PoleZeroReport:
     """
     if model.m < 2:
         raise ValueError("pole extraction needs m >= 2")
-    tb = transform(model)
-    pole_cands = _map_back(_eigen_candidates(tb, use_numerator=False))
-    zero_cands = _map_back(_eigen_candidates(tb, use_numerator=True))
-    poles = _sorted(_verified(model, pole_cands, use_numerator=False))
-    zeros = _sorted(_verified(model, zero_cands, use_numerator=True))
-    residues = _residues_unchecked(model, poles)
-    return PoleZeroReport(poles, zeros, residues, _pf_constant(model))
+    poles = _roots(model, use_numerator=False)
+    zeros = _roots(model, use_numerator=True)
+    return PoleZeroReport(poles, zeros, _residues_unchecked(model, poles), _pf_constant(model))
 
 
-def _sorted(z: np.ndarray) -> np.ndarray:
-    order = np.lexsort((z.imag, z.real))
-    return z[order]
+def _roots(model: TrigModel, use_numerator: bool) -> np.ndarray:
+    """The verified poles (denominator) or zeros (numerator), sorted."""
+    cands = _map_back(_eigen_candidates(transform(model), use_numerator))
+    roots = _verified(model, cands, use_numerator)
+    return roots[np.lexsort((roots.imag, roots.real))]
 
 
 def _pf_constant(model: TrigModel) -> complex:
@@ -219,17 +217,15 @@ def _pf_constant(model: TrigModel) -> complex:
     return (ff.f_plus + ff.f_minus) / 2.0
 
 
-def _quotient_parts(model: TrigModel, poles: np.ndarray):
+def _quotient_parts(model: TrigModel, poles):
     """Numerator n(p), denominator derivative d'(p) and its largest term."""
+    poles = np.asarray(poles, dtype=complex)
     num, _, _, _ = _kernel_sum(model, poles, model.weights * model.fvals)
     _, dprime, _, ref = _kernel_sum(model, poles, model.weights)
     return num, dprime, ref
 
 
 def _residues_unchecked(model: TrigModel, poles) -> np.ndarray:
-    poles = np.asarray(poles, dtype=complex)
-    if len(poles) == 0:
-        return np.zeros(0, dtype=complex)
     num, dprime, _ = _quotient_parts(model, poles)
     with np.errstate(divide="ignore", invalid="ignore"):
         return num / dprime
@@ -242,9 +238,6 @@ def residues(model: TrigModel, poles) -> np.ndarray:
     The partial-fraction coefficient of the cotangent form is half of the
     classical residue.  Raises for (numerically) non-simple poles.
     """
-    poles = np.asarray(poles, dtype=complex)
-    if len(poles) == 0:
-        return np.zeros(0, dtype=complex)
     num, dprime, ref = _quotient_parts(model, poles)
     if np.any(np.abs(dprime) <= 1e-10 * ref):
         raise ValueError("non-simple pole")

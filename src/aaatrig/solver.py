@@ -4,7 +4,9 @@ The loop alternates greedy support selection with a least-squares solve for
 the weights: at step m the sample with the largest residual joins the
 support, the Loewner matrix is assembled over the remaining samples, and
 the weights are the right singular vector of its smallest singular value
-(a thin SVD).  One greedy routine (:func:`greedy`) and one solve step
+(a thin SVD).  One assembly (:func:`_assemble`) builds every Loewner
+matrix, for the weight solves and the public :func:`loewner_system` alike.
+One greedy routine (:func:`greedy`) and one solve step
 (:func:`solve_weights`) serve :func:`fit`, the re-solve in :func:`cleanup`
 and the classic AAA baseline; callers differ only in the kernel and the
 optional far-field rows they pass.  The greedy keeps the kernel column of
@@ -31,6 +33,7 @@ from .trigbary import (
     SampleSet,
     TrigModel,
     _cst_values,
+    _far_weights,
     strip_distance,
 )
 
@@ -77,25 +80,30 @@ def loewner_system(samples: SampleSet, support_idx, kernel) -> LeastSquaresSyste
     """Loewner matrix over the non-support samples for any kernel.
 
     Entry (k, j) is (F_k - f_j) * kernel(Z_k - z_j) where Z_k runs over the
-    samples not chosen as support.
+    samples not chosen as support, assembled as in every weight solve.
     """
     support_idx = np.asarray(support_idx, dtype=int)
-    m = len(support_idx)
-    if len(np.unique(support_idx)) != m:
+    if len(np.unique(support_idx)) != len(support_idx):
         raise ValueError("support indices must be distinct")
-    M = samples.size
-    if m > M / 2:
+    if len(support_idx) > samples.size / 2:
         raise ValueError("order exceeds half the sample count")
-    active = np.ones(M, dtype=bool)
+    return _assemble(samples, support_idx, kernel_columns(samples, support_idx, kernel))
+
+
+def _assemble(samples: SampleSet, support_idx, columns, far_rows=None) -> LeastSquaresSystem:
+    """The one Loewner assembly: (F_k - f_j) * columns[k, j] over the
+    non-support rows k, with ``far_rows(z_j, f_j)`` appended when given."""
+    support_idx = np.asarray(support_idx, dtype=int)
+    active = np.ones(samples.size, dtype=bool)
     active[support_idx] = False
-    active_rows = np.flatnonzero(active)
-    Z = samples.points[active_rows]
-    F = samples.values[active_rows]
-    zj = samples.points[support_idx]
+    rows = np.flatnonzero(active)
     fj = samples.values[support_idx]
-    C = kernel(Z[:, None] - zj[None, :])
+    F = samples.values[rows]
+    C = columns[rows]
     A = (F[:, None] - fj[None, :]) * C
-    return LeastSquaresSystem(A, active_rows, F, fj, C)
+    if far_rows is not None:
+        A = np.vstack([A, far_rows(samples.points[support_idx], fj)])
+    return LeastSquaresSystem(A, rows, F, fj, C)
 
 
 def assemble_loewner(samples: SampleSet, support_idx, parity: Parity) -> LeastSquaresSystem:
@@ -117,12 +125,8 @@ def append_far_field_rows(
 
 def _far_field_rows(target: FarField, parity: Parity, zj, fj) -> np.ndarray:
     """The far-field constraint rows for support points zj with values fj."""
-    if parity is Parity.ODD:
-        return np.vstack([
-            (target.f_plus - fj) * np.exp(-1j * zj / 2.0),
-            (target.f_minus - fj) * np.exp(1j * zj / 2.0),
-        ])
-    return (target.f_plus - fj)[None, :]
+    rows = np.vstack(_far_weights(parity, zj, target.f_plus - fj, target.f_minus - fj))
+    return rows if parity is Parity.ODD else rows[:1]
 
 
 def _trig_kernel(parity: Parity):
@@ -138,26 +142,17 @@ def solve_weights(samples: SampleSet, support_idx, columns, far_rows=None):
     """One weight solve on the Loewner system of a support.
 
     ``columns`` holds the kernel values kernel(Z_k - z_j) over all M samples
-    (row k) for each support point (column j).  The matrix over the
-    non-support rows is (F_k - f_j) * columns, with ``far_rows(z_j, f_j)``
-    appended when given; it equals what :func:`loewner_system` and
-    :func:`append_far_field_rows` assemble.  Returns the weights, the active
-    (non-support) rows and the absolute residuals of the rational there.
+    (row k) for each support point (column j); :func:`_assemble` builds the
+    system from them, with ``far_rows(z_j, f_j)`` appended when given.
+    Returns the weights, the active (non-support) rows and the absolute
+    residuals of the rational there.
     """
-    support_idx = np.asarray(support_idx, dtype=int)
-    active = np.ones(samples.size, dtype=bool)
-    active[support_idx] = False
-    rows = np.flatnonzero(active)
-    fj = samples.values[support_idx]
-    F = samples.values[rows]
-    C = columns[rows]
-    A = (F[:, None] - fj[None, :]) * C
-    if far_rows is not None:
-        A = np.vstack([A, far_rows(samples.points[support_idx], fj)])
-    weights = min_singular_direction(A)
+    system = _assemble(samples, support_idx, columns, far_rows)
+    weights = min_singular_direction(system.matrix)
+    C = system.cauchy
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = (C @ (weights * fj)) / (C @ weights)
-    return weights, rows, np.abs(F - r)
+        r = (C @ (weights * system.s_f)) / (C @ weights)
+    return weights, system.active_rows, np.abs(system.s_F - r)
 
 
 def kernel_columns(samples: SampleSet, support_idx, kernel) -> np.ndarray:
@@ -247,7 +242,7 @@ def cleanup(model: TrigModel, samples: SampleSet, config: FitConfig) -> TrigMode
     """
     if model.m < 2:
         return model
-    poles = polezero.poles_and_zeros(model).poles
+    poles = polezero._roots(model, use_numerator=False)
     if len(poles) == 0:
         return model
     res = polezero._residues_unchecked(model, poles)
@@ -258,22 +253,16 @@ def cleanup(model: TrigModel, samples: SampleSet, config: FitConfig) -> TrigMode
 
     # One support point per spurious pole, assigned by greedy minimum-distance
     # matching so that coincident doublets do not collapse onto one removal.
-    spurious = poles[small]
-    dists = strip_distance(spurious[:, None], model.support[None, :])
-    order = sorted(
-        (dists[k, j], k, j)
-        for k in range(len(spurious))
-        for j in range(model.m)
-    )
-    drop: set[int] = set()
-    assigned: set[int] = set()
-    for _, k, j in order:
-        if k in assigned or j in drop:
-            continue
-        assigned.add(k)
-        drop.add(j)
-    keep = [j for j in range(model.m) if j not in drop]
-    if not keep:
+    # argmin breaks equal distances by pole index, then support index.
+    dists = strip_distance(poles[small][:, None], model.support[None, :])
+    drop = []
+    for _ in range(min(dists.shape)):
+        k, j = divmod(int(np.argmin(dists)), model.m)
+        drop.append(j)
+        dists[k, :] = np.inf
+        dists[:, j] = np.inf
+    keep = np.delete(np.arange(model.m), drop)
+    if len(keep) == 0:
         return replace(model, cleanup_warning=True)
 
     support_idx = _support_sample_indices(model, samples)[keep]

@@ -340,22 +340,23 @@ def far_field(model: TrigModel) -> FarField:
 
     even models a single one, sum f_j w_j / sum w_j.
     """
-    w, fv, zj = model.weights, model.fvals, model.support
-    if model.parity is Parity.EVEN:
-        den = np.sum(w)
-        if abs(den) < 1e-14 * np.sum(np.abs(w)):
-            raise ValueError("degenerate far field")
-        val = complex(np.sum(fv * w) / den)
-        return FarField(val, val)
-    ep = w * np.exp(-1j * zj / 2.0)
-    em = w * np.exp(1j * zj / 2.0)
-    for terms in (ep, em):
+    limits = _far_weights(model.parity, model.support, model.weights, model.weights)
+    for terms in limits:
         if abs(np.sum(terms)) < 1e-14 * np.sum(np.abs(terms)):
             raise ValueError("degenerate far field")
-    return FarField(
-        complex(np.sum(fv * ep) / np.sum(ep)),
-        complex(np.sum(fv * em) / np.sum(em)),
-    )
+    return FarField(*(complex(np.sum(model.fvals * t) / np.sum(t)) for t in limits))
+
+
+def _far_weights(parity: Parity, support, w_plus, w_minus):
+    """The weights whose sums give the limits at +i*infinity and -i*infinity.
+
+    Odd parity: w_plus_j e^{-i z_j/2} and w_minus_j e^{i z_j/2}; even parity:
+    the weights themselves.  far_field and the fit's far-field constraint
+    rows both read this map.
+    """
+    if parity is Parity.EVEN:
+        return w_plus, w_minus
+    return w_plus * np.exp(-1j * support / 2.0), w_minus * np.exp(1j * support / 2.0)
 
 
 def interpolatory_weights(parity: Parity, support) -> np.ndarray:

@@ -1,0 +1,39 @@
+"""The benchmark's traced runs (perfbench/spans.py) wrap package functions by
+name, with getattr and no default: a layer renamed or deleted in the package
+would crash every ``--trace 1`` run.  These tests read the layer table as the
+benchmark ships it."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _spans_module():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_layer_resolves():
+    spans = _spans_module()
+    for module_name, attr, _ in spans.LAYERS:
+        module = importlib.import_module(f"{spans.PACKAGE}.{module_name}")
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+    trigbary = importlib.import_module(f"{spans.PACKAGE}.trigbary")
+    assert isinstance(trigbary.SampleSet.__dict__.get("from_data"), classmethod)
+
+
+def test_tracer_installs_and_restores():
+    spans = _spans_module()
+    modules = [importlib.import_module(f"{spans.PACKAGE}.{name}") for name, _, _ in spans.LAYERS]
+    before = [(mod, attr, getattr(mod, attr)) for mod, (_, attr, _) in zip(modules, spans.LAYERS)]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert all(getattr(mod, attr) is not fn for mod, attr, fn in before)
+    finally:
+        tracer.uninstall()
+    assert all(getattr(mod, attr) is fn for mod, attr, fn in before)

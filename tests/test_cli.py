@@ -265,11 +265,21 @@ class TestCommands:
         assert abs(ff.f_plus - 1j) < 1e-6
         assert abs(ff.f_minus + 1j) < 1e-6
 
-    def test_bad_finf_rejected(self, tmp_path):
+    @pytest.mark.parametrize("finf, parity, message", [
+        ("nope", "odd", "malformed --finf"),
+        ("1", "odd", "malformed --finf"),
+        ("1,2,3", "odd", "malformed --finf"),
+        ("0,0;0,0;0,0", "odd", "--finf takes at most two values"),
+        ("0,0;0,1", "even", "even parity takes a single far-field value"),
+    ], ids=["nope", "one-number", "three-numbers", "three-pairs-odd", "two-pairs-even"])
+    def test_bad_finf_rejected(self, tmp_path, capsys, finf, parity, message):
         data = tmp_path / "c.csv"
         constant_csv(data)
-        assert main(["fit", "--data", str(data), "--finf", "nope",
+        assert main(["fit", "--data", str(data), "--finf", finf, "--parity", parity,
                      "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("aaatrig: error: ")
+        assert message in err[0]
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         data = tmp_path / "tiny.csv"
