@@ -1,5 +1,6 @@
-"""Dense linear-algebra kernels: smallest-singular-direction solves and
-generalized eigenproblems with infinite-eigenvalue filtering."""
+"""Dense linear-algebra kernels: smallest-singular-direction solves (an
+R-only Householder QR and the SVD of R) and generalized eigenproblems with
+infinite-eigenvalue filtering."""
 
 from __future__ import annotations
 
@@ -24,19 +25,26 @@ class GepResult:
 def min_singular_direction(A) -> np.ndarray:
     """Right singular vector of the smallest singular value of A.
 
-    Returns a unit vector w minimising ||A w||_2 over the unit sphere.  The
-    phase is fixed so that the largest-magnitude entry is real positive,
-    which keeps downstream output deterministic.  Uses the thin SVD, so a
-    tall rows x cols matrix costs O(rows*cols) memory: the left singular
-    vectors are never formed beyond the first cols columns.
+    Returns a unit vector w minimising ||A w||_2, its largest-magnitude
+    entry real positive so that downstream output is deterministic.  One
+    owned column-major copy of A (the caller's array is untouched) is
+    factored in place, A = QR, by LAPACK's blocked zgeqrf with its optimal
+    workspace; w comes from the SVD of the cols x cols R, and neither Q nor
+    the left singular vectors are formed.  For rows >= floor(17*cols/9)
+    zgesdd takes this route itself, so w is the thin SVD's vector bit for
+    bit; nearer to square it differs at rounding.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
-    if not np.all(np.isfinite(A.real) & np.isfinite(A.imag)):
+    A = np.array(np.atleast_2d(A), dtype=complex, order="F")
+    if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     rows, cols = A.shape
     if cols < 1 or rows < cols:
         raise ValueError("need rows >= cols >= 1")
-    _, _, vh = np.linalg.svd(A, full_matrices=False)
+    lwork = int(scipy.linalg.lapack.zgeqrf_lwork(rows, cols)[0].real)
+    qr, _, _, info = scipy.linalg.lapack.zgeqrf(A, lwork=lwork, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zgeqrf failed (info {info})")
+    _, _, vh = np.linalg.svd(np.triu(qr[:cols]))
     w = vh[-1].conj()
     j = int(np.argmax(np.abs(w)))
     w = w * (abs(w[j]) / w[j])

@@ -3,9 +3,9 @@
 The loop alternates greedy support selection with a least-squares solve for
 the weights: at step m the sample with the largest residual joins the
 support, the Loewner matrix is assembled over the remaining samples, and
-the weights are the right singular vector of its smallest singular value
-(a thin SVD).  One assembly (:func:`_assemble`) builds every Loewner
-matrix, for the weight solves and the public :func:`loewner_system` alike.
+the weights are the right singular vector of its smallest singular value.
+One assembly (:func:`_assemble`) builds every Loewner matrix, for the
+weight solves and the public :func:`loewner_system` alike.
 One greedy routine (:func:`greedy`) and one solve step
 (:func:`solve_weights`) serve :func:`fit`, the re-solve in :func:`cleanup`
 and the classic AAA baseline; callers differ only in the kernel and the
@@ -53,12 +53,17 @@ class FitConfig:
     far_field: FarField | None = None
 
     def __post_init__(self):
-        if self.rel_tol < 0.0:
-            raise ValueError("rel_tol must be nonnegative")
-        if self.max_order < 1:
-            raise ValueError("max_order must be positive")
-        if self.cleanup_tol < 0.0:
+        _check_greedy_limits(self.rel_tol, self.max_order)
+        if not self.cleanup_tol >= 0.0:
             raise ValueError("cleanup_tol must be nonnegative")
+
+
+def _check_greedy_limits(rel_tol: float, max_order: int) -> None:
+    # Written as "not x >= bound" so that NaN is rejected too.
+    if not rel_tol >= 0.0:
+        raise ValueError("rel_tol must be nonnegative")
+    if not max_order >= 1:
+        raise ValueError("max_order must be positive")
 
 
 @dataclass(frozen=True)
@@ -174,6 +179,7 @@ def greedy(samples: SampleSet, kernel, rel_tol: float, max_order: int, far_rows=
     O(M*m) in the order m reached.  Returns (support indices, weights,
     err_history, scale, converged) of the last step.
     """
+    _check_greedy_limits(rel_tol, max_order)
     M = samples.size
     if M < 4:
         raise ValueError("need at least 4 samples")

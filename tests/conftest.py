@@ -8,6 +8,16 @@ import numpy as np
 from aaatrig.trigbary import Parity, TrigModel, TWO_PI, evaluate_batch, strip_distance
 
 
+def thin_svd_direction(A):
+    """Reference weight solve: the last right singular vector of the thin SVD,
+    phase-fixed as in aaatrig.numerics.min_singular_direction."""
+    _, _, vh = np.linalg.svd(np.asarray(A, dtype=complex), full_matrices=False)
+    w = vh[-1].conj()
+    j = int(np.argmax(np.abs(w)))
+    w = w * (abs(w[j]) / w[j])
+    return w / np.linalg.norm(w)
+
+
 RANDOM_MODEL_SEPARATION = 0.35
 RANDOM_MODEL_MAX_DRAWS = 10_000
 

@@ -47,6 +47,15 @@ class TestAaa:
         aaa = aaa_fit(ss)
         assert aaa.m < trig.m
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_order": 0}, "max_order must be positive"),
+        ({"rel_tol": -1.0}, "rel_tol must be nonnegative"),
+        ({"rel_tol": np.nan}, "rel_tol must be nonnegative"),
+    ], ids=["max-order-0", "negative-tol", "nan-tol"])
+    def test_invalid_limits_rejected(self, kwargs, message):
+        ss = rectangle_samples(np.exp, 50, seed=3)
+        with pytest.raises(ValueError, match=message):
+            aaa_fit(ss, **kwargs)
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_cached_columns_match_assembled_system(self, k):

@@ -7,6 +7,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -37,3 +39,24 @@ def test_tracer_installs_and_restores():
     finally:
         tracer.uninstall()
     assert all(getattr(mod, attr) is fn for mod, attr, fn in before)
+
+
+def test_every_weight_solve_is_traced():
+    # numerics.min_singular_direction.s reads 0 if a refactor moves the
+    # solve out of the wrapped name; one span per greedy step guards it.
+    spans = _spans_module()
+    for name, _, _ in spans.LAYERS:
+        importlib.import_module(f"{spans.PACKAGE}.{name}")
+    solver = importlib.import_module(f"{spans.PACKAGE}.solver")
+    trigbary = importlib.import_module(f"{spans.PACKAGE}.trigbary")
+    x = trigbary.TWO_PI * np.arange(200) / 200
+    samples = trigbary.SampleSet.from_data(x, np.exp(np.sin(x)))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        model = solver.fit(samples, solver.FitConfig(cleanup=False))
+    finally:
+        tracer.uninstall()
+    solves = [s for s in tracer.spans if s[0] == "numerics.min_singular_direction"]
+    assert len(model.err_history) > 1
+    assert len(solves) == len(model.err_history)

@@ -281,6 +281,21 @@ class TestCommands:
         assert len(err) == 1 and err[0].startswith("aaatrig: error: ")
         assert message in err[0]
 
+    @pytest.mark.parametrize("command", ["fit", "clean"])
+    def test_nan_tolerance_rejected(self, tmp_path, capsys, command):
+        data = tmp_path / "c.csv"
+        constant_csv(data)
+        argv = [command, "--data", str(data), "--tol", "nan", "--out", str(tmp_path / "x")]
+        if command == "clean":
+            mp = tmp_path / "m.json"
+            write_model(str(mp), TrigModel.build(Parity.ODD, [0.0, np.pi], [1.0, -1.0], [1.0, 1.0]))
+            argv += ["--model", str(mp)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("aaatrig: error: ")
+        assert "tol must be nonnegative" in err[0]
+        assert not (tmp_path / "x.model.json").exists()
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         data = tmp_path / "tiny.csv"
         write_csv(data, [(0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 2.0, 0.0)])

@@ -10,6 +10,8 @@ from aaatrig.numerics import (
     min_singular_direction,
 )
 
+from conftest import thin_svd_direction
+
 
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -57,6 +59,36 @@ class TestMinSingularDirection:
             min_singular_direction(np.asarray([[np.nan, 0], [0, 1], [1, 1]]))
         with pytest.raises(ValueError, match="rows >= cols"):
             min_singular_direction(np.ones((2, 3), dtype=complex))
+
+    # Tall enough (rows >= floor(17*cols/9)) for zgesdd to factor A = QR
+    # itself, so the R-only solve repeats the thin SVD's vector bit for bit.
+    @pytest.mark.parametrize("shape", [(1000, 1), (1000, 60), (1000, 100), (400, 53), (64, 20)])
+    def test_tall_matches_thin_svd_bitwise(self, shape):
+        A = random_complex(np.random.default_rng(shape[1]), *shape)
+        assert np.array_equal(min_singular_direction(A), thin_svd_direction(A))
+
+    @pytest.mark.parametrize("shape", [(1000, 200), (900, 300), (64, 40), (100, 100)])
+    def test_backward_stable(self, shape):
+        A = random_complex(np.random.default_rng(shape[1]), *shape)
+        w = min_singular_direction(A)
+        sigma = scipy.linalg.svdvals(A)
+        eps = np.finfo(float).eps
+        assert abs(np.linalg.norm(w) - 1.0) < 1e-13
+        assert np.linalg.norm(A @ w) <= sigma[-1] * (1.0 + 1e-10) + 10 * eps * sigma[0]
+
+    @pytest.mark.parametrize("kind", ["c-complex", "f-complex", "real", "list"])
+    def test_input_unchanged(self, kind):
+        rng = np.random.default_rng(11)
+        A = {
+            "c-complex": random_complex(rng, 30, 4),
+            "f-complex": np.asfortranarray(random_complex(rng, 30, 4)),
+            "real": rng.standard_normal((30, 4)),
+            "list": rng.standard_normal((30, 4)).tolist(),
+        }[kind]
+        before = np.array(A, copy=True)
+        w = min_singular_direction(A)
+        assert np.array_equal(np.asarray(A), before)
+        assert np.array_equal(w, thin_svd_direction(before))
 
 
 class TestGeneralizedEigArrow:

@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from aaatrig import solver
+from aaatrig.baselines import aaa_fit, rectangle_samples
 from aaatrig.numerics import min_singular_direction
 from aaatrig.polezero import poles_and_zeros, residues
 from aaatrig.solver import (
@@ -22,7 +24,7 @@ from aaatrig.trigbary import (
     far_field,
 )
 
-from conftest import random_model
+from conftest import random_model, thin_svd_direction
 
 
 class TestFitConfig:
@@ -33,6 +35,10 @@ class TestFitConfig:
             FitConfig(max_order=0)
         with pytest.raises(ValueError):
             FitConfig(cleanup_tol=-1e-3)
+        with pytest.raises(ValueError, match="rel_tol must be nonnegative"):
+            FitConfig(rel_tol=np.nan)
+        with pytest.raises(ValueError, match="cleanup_tol must be nonnegative"):
+            FitConfig(cleanup_tol=np.nan)
 
 
 class TestAssembleLoewner:
@@ -249,6 +255,36 @@ class TestGreedyCore:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestWeightSolvePin:
+    """The fits of the R-only weight solve equal those of a thin SVD."""
+
+    @staticmethod
+    def _tanh():
+        x = TWO_PI * np.arange(400) / 400
+        return SampleSet.from_data(x, np.tanh(60 * np.cos(x)))
+
+    @pytest.mark.parametrize("case, m", [
+        ("odd-raw", 53),
+        ("odd-cleaned", 52),
+        ("even-far-field", 53),
+        ("aaa", 21),
+    ])
+    def test_same_fit_as_thin_svd(self, monkeypatch, case, m):
+        run = {
+            "odd-raw": lambda: fit(self._tanh(), FitConfig(cleanup=False)),
+            "odd-cleaned": lambda: fit(self._tanh(), FitConfig()),
+            "even-far-field": lambda: fit(
+                self._tanh(), FitConfig(parity=Parity.EVEN, far_field=FarField(0.0, 0.0))),
+            "aaa": lambda: aaa_fit(rectangle_samples(lambda z: np.exp(np.sin(z)), 400, 7)),
+        }[case]
+        shipped = run()
+        monkeypatch.setattr(solver, "min_singular_direction", thin_svd_direction)
+        reference = run()
+        assert shipped.m == m
+        for field in ("support", "weights", "err_history"):
+            assert np.array_equal(getattr(shipped, field), getattr(reference, field)), field
 
 
 class TestCleanup:
