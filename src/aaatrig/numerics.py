@@ -1,6 +1,7 @@
 """Dense linear-algebra kernels: smallest-singular-direction solves (an
-R-only Householder QR and the SVD of R) and generalized eigenproblems with
-infinite-eigenvalue filtering."""
+R-only Householder QR and the SVD of R), optionally subject to linear
+equality constraints held by the null-space method, and generalized
+eigenproblems with infinite-eigenvalue filtering."""
 
 from __future__ import annotations
 
@@ -45,7 +46,51 @@ def min_singular_direction(A) -> np.ndarray:
     if info != 0:
         raise np.linalg.LinAlgError(f"zgeqrf failed (info {info})")
     _, _, vh = np.linalg.svd(np.triu(qr[:cols]))
-    w = vh[-1].conj()
+    return _unit_phase(vh[-1].conj())
+
+
+def constrained_min_singular_direction(A, C) -> np.ndarray:
+    """Unit vector w minimising ||A w||_2 subject to C w = 0.
+
+    The null-space method (Golub & Van Loan, Matrix Computations, 4th ed.,
+    section 6.2): a column-pivoted Householder QR of C^H = Q R keeps the r
+    reflectors whose |R_ii| exceeds eps*||C||_F, so a zero row or one that
+    repeats another constrains nothing.  The last m - r columns of Q span
+    null(C).  The reflectors are applied to A from the right, O(rows*m*r),
+    and w = Q [0; v] with v = min_singular_direction((A Q)[:, r:]); Q itself
+    is never formed.  When r >= m only w = 0 satisfies C w = 0, so the
+    constraints are dropped and w is the unconstrained solve's, as it is
+    when C has no rows.  The phase rule is min_singular_direction's.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=complex))
+    C = np.asarray(C, dtype=complex).reshape(-1, A.shape[1])
+    if not np.isfinite(C).all():
+        raise ValueError("constraint has non-finite entries")
+    qr, _, tau, _, info = scipy.linalg.lapack.zgeqp3(C.conj().T)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zgeqp3 failed (info {info})")
+    diag = np.abs(np.diag(qr))
+    r = int(np.count_nonzero(diag > np.finfo(float).eps * np.linalg.norm(C)))
+    if r == 0 or r >= A.shape[1]:
+        return min_singular_direction(A)
+    reflectors, tau = qr[:, :r], tau[:r]
+    AQ = _apply_reflectors(b"R", reflectors, tau, A)
+    w = np.zeros((A.shape[1], 1), dtype=complex)
+    w[r:, 0] = min_singular_direction(AQ[:, r:])
+    return _unit_phase(_apply_reflectors(b"L", reflectors, tau, w)[:, 0])
+
+
+def _apply_reflectors(side: bytes, reflectors, tau, X) -> np.ndarray:
+    """X Q (side b"R") or Q X (side b"L") for the Q of zgeqp3's reflectors."""
+    lwork = max(1, X.shape[0] if side == b"R" else X.shape[1])
+    out, _, info = scipy.linalg.lapack.zunmqr(side, b"N", reflectors, tau, X, lwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zunmqr failed (info {info})")
+    return out
+
+
+def _unit_phase(w) -> np.ndarray:
+    """w with unit norm and its largest-magnitude entry real positive."""
     j = int(np.argmax(np.abs(w)))
     w = w * (abs(w[j]) / w[j])
     return w / np.linalg.norm(w)

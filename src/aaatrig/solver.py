@@ -9,13 +9,13 @@ weight solves and the public :func:`loewner_system` alike.
 One greedy routine (:func:`greedy`) and one solve step
 (:func:`solve_weights`) serve :func:`fit`, the re-solve in :func:`cleanup`
 and the classic AAA baseline; callers differ only in the kernel and the
-optional far-field rows they pass.  The greedy keeps the kernel column of
-each support point from one step to the next, so a step costs one new
+optional far-field constraint they pass.  The greedy keeps the kernel column
+of each support point from one step to the next, so a step costs one new
 column of kernel values and O(M*m) memory for M samples at order m.  The
-trigonometric fit uses the cst kernel, with optional far-field constraint
-rows that pin the approximant's values at +-i*infinity; an optional cleanup
-pass removes spurious pole-zero pairs (Froissart doublets) after
-termination.
+trigonometric fit uses the cst kernel, with an optional far-field constraint
+C w = 0 that pins the approximant's values at +-i*infinity; the weight solve
+holds it exactly, by the null-space method.  An optional cleanup pass
+removes spurious pole-zero pairs (Froissart doublets) after termination.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from . import polezero
-from .numerics import min_singular_direction
+from .numerics import constrained_min_singular_direction
 from .trigbary import (
     FarField,
     Parity,
@@ -95,9 +95,9 @@ def loewner_system(samples: SampleSet, support_idx, kernel) -> LeastSquaresSyste
     return _assemble(samples, support_idx, kernel_columns(samples, support_idx, kernel))
 
 
-def _assemble(samples: SampleSet, support_idx, columns, far_rows=None) -> LeastSquaresSystem:
+def _assemble(samples: SampleSet, support_idx, columns) -> LeastSquaresSystem:
     """The one Loewner assembly: (F_k - f_j) * columns[k, j] over the
-    non-support rows k, with ``far_rows(z_j, f_j)`` appended when given."""
+    non-support rows k."""
     support_idx = np.asarray(support_idx, dtype=int)
     active = np.ones(samples.size, dtype=bool)
     active[support_idx] = False
@@ -106,8 +106,6 @@ def _assemble(samples: SampleSet, support_idx, columns, far_rows=None) -> LeastS
     F = samples.values[rows]
     C = columns[rows]
     A = (F[:, None] - fj[None, :]) * C
-    if far_rows is not None:
-        A = np.vstack([A, far_rows(samples.points[support_idx], fj)])
     return LeastSquaresSystem(A, rows, F, fj, C)
 
 
@@ -122,7 +120,10 @@ def append_far_field_rows(
     """Append the constraint rows that pin the far-field values.
 
     Odd parity appends two rows with entries (f_inf^+- - f_j) e^{-+i z_j/2};
-    even parity appends the single row f_inf - f_j.
+    even parity appends the single row f_inf - f_j.  These rows are the
+    block C of the constraint C w = 0 that :func:`solve_weights` holds by
+    the null-space method; stacked under the Loewner matrix they are a view
+    of it for inspection, not the system that is solved.
     """
     rows = _far_field_rows(target, parity, np.asarray(support, dtype=complex), system.s_f)
     return replace(system, matrix=np.vstack([system.matrix, rows]))
@@ -148,12 +149,21 @@ def solve_weights(samples: SampleSet, support_idx, columns, far_rows=None):
 
     ``columns`` holds the kernel values kernel(Z_k - z_j) over all M samples
     (row k) for each support point (column j); :func:`_assemble` builds the
-    system from them, with ``far_rows(z_j, f_j)`` appended when given.
-    Returns the weights, the active (non-support) rows and the absolute
-    residuals of the rational there.
+    system A from them.  The weights minimise ||A w|| with ||w|| = 1 subject
+    to C w = 0, held to rounding by
+    :func:`~aaatrig.numerics.constrained_min_singular_direction`.  C is
+    ``far_rows(z_j, f_j)`` (one row for even parity, two for odd), or has no
+    rows when ``far_rows`` is None, and then the weights are those of
+    :func:`~aaatrig.numerics.min_singular_direction` bit for bit.  While the
+    order m is at most the rank r of C, only w = 0 satisfies the
+    constraint, so those first steps solve without it.  Returns the weights,
+    the active (non-support) rows and the absolute residuals of the
+    rational there.
     """
-    system = _assemble(samples, support_idx, columns, far_rows)
-    weights = min_singular_direction(system.matrix)
+    system = _assemble(samples, support_idx, columns)
+    zj = samples.points[np.asarray(support_idx, dtype=int)]
+    rows = np.zeros((0, len(zj))) if far_rows is None else far_rows(zj, system.s_f)
+    weights = constrained_min_singular_direction(system.matrix, rows)
     C = system.cauchy
     with np.errstate(divide="ignore", invalid="ignore"):
         r = (C @ (weights * system.s_f)) / (C @ weights)
@@ -212,10 +222,10 @@ def greedy(samples: SampleSet, kernel, rel_tol: float, max_order: int, far_rows=
 def fit(samples: SampleSet, config: FitConfig = FitConfig()) -> TrigModel:
     """Fit a trigonometric barycentric rational to scattered samples.
 
-    Runs :func:`greedy` on the trigonometric Loewner system, plus the
-    far-field rows when config.far_field is set.  Returns the model from the
-    last iteration; ``converged`` is False when the caps ended the loop
-    first.
+    Runs :func:`greedy` on the trigonometric Loewner system, under the
+    far-field constraint when config.far_field is set.  Returns the model
+    from the last iteration, cleaned up when config.cleanup is set;
+    ``converged`` is False when the caps ended the loop first.
     """
     support, weights, history, scale, converged = greedy(
         samples,
@@ -234,7 +244,7 @@ def fit(samples: SampleSet, config: FitConfig = FitConfig()) -> TrigModel:
         converged=converged,
     )
     if config.cleanup:
-        model = cleanup(model, samples, config)
+        model = _cleanup(model, samples, config, np.asarray(support))
     return model
 
 
@@ -244,8 +254,16 @@ def cleanup(model: TrigModel, samples: SampleSet, config: FitConfig) -> TrigMode
     Poles whose classical residue falls below cleanup_tol * scale mark their
     nearest support point for removal; a single final :func:`solve_weights`
     on the reduced support produces the returned model.  A model with no
-    small residues is returned unchanged.
+    small residues is returned unchanged.  The support points are located
+    among the samples by :func:`_support_sample_indices`, since a model (one
+    read from a file, say) carries no sample indices.
     """
+    return _cleanup(model, samples, config, None)
+
+
+def _cleanup(model: TrigModel, samples: SampleSet, config: FitConfig, support_idx) -> TrigModel:
+    """:func:`cleanup` with the support's sample indices, or None to look
+    them up; :func:`fit` passes the greedy's."""
     if model.m < 2:
         return model
     poles = polezero._roots(model, use_numerator=False)
@@ -271,7 +289,9 @@ def cleanup(model: TrigModel, samples: SampleSet, config: FitConfig) -> TrigMode
     if len(keep) == 0:
         return replace(model, cleanup_warning=True)
 
-    support_idx = _support_sample_indices(model, samples)[keep]
+    if support_idx is None:
+        support_idx = _support_sample_indices(model, samples)
+    support_idx = support_idx[keep]
     columns = kernel_columns(samples, support_idx, _trig_kernel(model.parity))
     weights, _, res = solve_weights(
         samples, support_idx, columns, _far_rows(config.far_field, model.parity)

@@ -4,6 +4,7 @@ oracle and an independent root finder."""
 from math import factorial
 
 import numpy as np
+import scipy.linalg
 
 from aaatrig.trigbary import Parity, TrigModel, TWO_PI, evaluate_batch, strip_distance
 
@@ -12,7 +13,21 @@ def thin_svd_direction(A):
     """Reference weight solve: the last right singular vector of the thin SVD,
     phase-fixed as in aaatrig.numerics.min_singular_direction."""
     _, _, vh = np.linalg.svd(np.asarray(A, dtype=complex), full_matrices=False)
-    w = vh[-1].conj()
+    return _unit_phase(vh[-1].conj())
+
+
+def constrained_svd_direction(A, C):
+    """Reference constrained weight solve: the unit w minimising ||A w||
+    subject to C w = 0, as w = N v with N = scipy.linalg.null_space(C) and
+    v = thin_svd_direction(A @ N).  When C leaves only w = 0 (no null-space
+    column) the solve drops C, as aaatrig.solver.solve_weights does."""
+    N = scipy.linalg.null_space(np.atleast_2d(C))
+    if N.shape[1] == 0:
+        return thin_svd_direction(A)
+    return _unit_phase(N @ thin_svd_direction(np.asarray(A) @ N))
+
+
+def _unit_phase(w):
     j = int(np.argmax(np.abs(w)))
     w = w * (abs(w[j]) / w[j])
     return w / np.linalg.norm(w)

@@ -5,12 +5,13 @@ import scipy.linalg
 from aaatrig.numerics import (
     arrow_mass_matrix,
     arrowhead_matrix,
+    constrained_min_singular_direction,
     generalized_eig,
     generalized_eig_arrow,
     min_singular_direction,
 )
 
-from conftest import thin_svd_direction
+from conftest import constrained_svd_direction, thin_svd_direction
 
 
 def random_complex(rng, *shape):
@@ -89,6 +90,39 @@ class TestMinSingularDirection:
         w = min_singular_direction(A)
         assert np.array_equal(np.asarray(A), before)
         assert np.array_equal(w, thin_svd_direction(before))
+
+
+class TestConstrainedMinSingularDirection:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_null_space_reference(self, k):
+        rng = np.random.default_rng(12 + k)
+        for cols in (k + 1, 5, 40):
+            A, C = random_complex(rng, 200, cols), random_complex(rng, k, cols)
+            w = constrained_min_singular_direction(A, C)
+            assert abs(np.linalg.norm(w) - 1.0) < 1e-13
+            assert np.max(np.abs(C @ w)) <= 4 * np.finfo(float).eps * np.linalg.norm(C)
+            assert np.max(np.abs(w - constrained_svd_direction(A, C))) <= 1e-12
+
+    def test_zero_and_repeated_rows_constrain_nothing(self):
+        rng = np.random.default_rng(14)
+        A, c = random_complex(rng, 50, 6), random_complex(rng, 1, 6)
+        one = constrained_min_singular_direction(A, c)
+        for C in (np.vstack([c, 2j * c]), np.vstack([np.zeros_like(c), c])):
+            assert np.max(np.abs(constrained_min_singular_direction(A, C) - one)) <= 1e-13
+        zero = constrained_min_singular_direction(A, np.zeros((2, 6)))
+        assert np.array_equal(zero, min_singular_direction(A))
+
+    def test_unconstrained_without_rows_or_null_space(self):
+        rng = np.random.default_rng(15)
+        A = random_complex(rng, 30, 2)
+        free = min_singular_direction(A)
+        assert np.array_equal(constrained_min_singular_direction(A, np.zeros((0, 2))), free)
+        # Two independent rows on two columns leave only w = 0.
+        assert np.array_equal(constrained_min_singular_direction(A, random_complex(rng, 2, 2)), free)
+
+    def test_non_finite_constraint(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            constrained_min_singular_direction(np.eye(3), [[np.inf, 0.0, 1.0]])
 
 
 class TestGeneralizedEigArrow:
