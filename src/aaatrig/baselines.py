@@ -119,12 +119,17 @@ def rectangle_samples(func, n: int, seed: int, height: float = 0.5) -> SampleSet
 
 
 def fft_least_squares_errors(samples: SampleSet, orders) -> np.ndarray:
-    """Discrete 2-norm error of the order-m truncated DFT for each m."""
-    interp_full = fft_interpolant(samples)
-    F, M = interp_full.coefficients, interp_full.grid_size
-    errs = []
-    for m in orders:
-        trunc = FourierInterpolant(F, int(m), M)
-        diff = evaluate_fourier(trunc, samples.points) - samples.values
-        errs.append(float(np.linalg.norm(diff)))
-    return np.asarray(errs)
+    """Discrete 2-norm error of the order-m truncated DFT for each m.
+
+    By Parseval it is sqrt(M * sum |F_k|^2) over the modes that truncation
+    drops, those whose level min(k, M - k) exceeds m; it is exactly 0 from
+    m = floor(M/2) on, and a negative m reads as 0.  The tail is summed
+    from the top, so a small tail does not cancel.
+    """
+    interp = fft_interpolant(samples)
+    F, M = interp.coefficients, interp.grid_size
+    level = np.minimum(np.arange(M), M - np.arange(M))
+    energy = np.bincount(level, weights=np.abs(F) ** 2)
+    # tail[m] = sum of energy over levels above m.
+    tail = np.append(np.cumsum(energy[::-1])[::-1][1:], 0.0)
+    return np.sqrt(M * tail[np.clip(np.asarray(orders, dtype=int), 0, M // 2)])

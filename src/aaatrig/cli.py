@@ -389,8 +389,12 @@ def _add_common(p: argparse.ArgumentParser, data: bool = False, model: bool = Fa
         p.add_argument("--model", required=True, help="model JSON file")
     if points:
         p.add_argument("--points", required=True, help="points file")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--period", type=_period, default=TWO_PI)
+    # --format is read only with a samples or points file, --period with
+    # any input in user coordinates.
+    if data or points:
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
+    if data or model or points:
+        p.add_argument("--period", type=_period, default=TWO_PI)
     p.add_argument("--out", required=True, help="output path prefix")
 
 

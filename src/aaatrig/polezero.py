@@ -4,8 +4,10 @@ The barycentric form hides its poles and zeros; they are recovered through
 the change of variable zeta = e^{iz}, which turns either parity into an
 ordinary barycentric rational in zeta, and one arrowhead generalized
 eigenvalue problem per sum.  Denominator data yields the poles, numerator
-data the zeros; every candidate must pass a residual check on the model's
-kernel sum, independent of the eigensolver, before it is reported.
+data the zeros.  Every candidate stays in zeta until it is reported: it is
+polished by Newton steps on the sum in zeta and must pass a residual check
+there, independent of the eigensolver; residues are taken in zeta too.
+Only the verified roots are mapped back to z, once.
 """
 
 from __future__ import annotations
@@ -98,101 +100,53 @@ def _eigen_candidates(tb: TransformedBarycentric, use_numerator: bool) -> np.nda
     return result.finite_eigenvalues
 
 
-def _map_back(lam: np.ndarray) -> np.ndarray:
-    """Invert zeta = e^{iz}; eigenvalues mapping to +-i*infinity drop out.
+def _zeta_sum(model: TrigModel, lam: np.ndarray, coeff: np.ndarray):
+    """S(lambda) = sum_j (a_j/(lambda - zeta_j) + c_j) and its lambda-derivative
+    -sum_j a_j/(lambda - zeta_j)^2 at each point of lam, with the largest term
+    magnitude of each sum (non-finite if any term is).
 
-    Eigenvalues with |lambda| below 1e-13 or above 1e13, next to the map's
-    branch points 0 and infinity, sit below eigenvalue noise and would land
-    at |Im z| beyond 25: they represent the far field, not strip points.
-    """
-    if len(lam) == 0:
-        return lam
-    lam = lam[(np.abs(lam) > 1e-13) & (np.abs(lam) < 1e13)]
-    z = -1j * np.log(lam)
-    z = z[np.isfinite(z.real) & np.isfinite(z.imag)]
-    return _canonicalize_array(z)
-
-
-def _kernel_sum(model: TrigModel, z: np.ndarray, coeff: np.ndarray):
-    """sum_j coeff_j cst((z - z_j)/2) and its z-derivative at each point of z,
-    with the largest term magnitude of each sum (non-finite if any term is).
-
-    In zeta = e^{iz} the sum is h * sum_j (a_j/(zeta - zeta_j) + c_j), with
-    (zeta_j, a_j, c_j) the :func:`_zeta_form` of coeff and h = 2i e^{iz/2}
-    (odd) or i (even).  The derivative follows from d/dz = i zeta d/dzeta,
-    so nothing cancels far from the real axis.
+    (zeta_j, a_j, c_j) is the :func:`_zeta_form` of coeff.  The kernel sum
+    sum_j coeff_j cst((z - z_j)/2) is h S(e^{iz}), with h = 2i e^{iz/2} (odd)
+    or i (even); h never vanishes, so S has the kernel sum's roots and the
+    same ratio of sum to largest term.
     """
     zeta_j, a, c = _zeta_form(model, 1.0, coeff)
-    zeta = np.exp(1j * z)[:, None]
-    if model.parity is Parity.ODD:
-        h, dlog_h = 2j * np.exp(0.5j * z), 0.5j
-    else:
-        h, dlog_h = 1j, 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        diff = zeta - zeta_j
+        diff = lam[:, None] - zeta_j
         terms = (a + c * diff) / diff
-        # Each term's z-derivative, over h.
-        dterms = dlog_h * terms - 1j * zeta * a / diff**2
-    habs = np.abs(h)
-    return (
-        h * np.sum(terms, axis=1),
-        h * np.sum(dterms, axis=1),
-        habs * np.max(np.abs(terms), axis=1),
-        habs * np.max(np.abs(dterms), axis=1),
-    )
+        dterms = -a / diff**2
+    return (np.sum(terms, axis=1), np.sum(dterms, axis=1),
+            np.max(np.abs(terms), axis=1), np.max(np.abs(dterms), axis=1))
 
 
 def _polished(model: TrigModel, cands: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """A few Newton steps on the kernel sum to sharpen eigenvalue candidates.
+    """A few Newton steps on S (:func:`_zeta_sum`) to sharpen eigenvalues.
 
     Eigenvalues of doublet poles can carry errors far above the local root
     width; polishing makes the residual check meaningful there.  Candidates
-    are never allowed to wander more than a small fraction of the strip: a
+    are never allowed to wander more than 0.05 |lambda|, about 0.05 in z: a
     candidate stops at a non-finite or long step and is reset if it ends up
     too far from where it started.
     """
-    z = cands.astype(complex)
-    live = np.arange(len(z))
+    lam = cands.copy()
+    live = np.arange(len(lam))
     for _ in range(3):
-        fv, dv, _, _ = _kernel_sum(model, z[live], coeff)
+        fv, dv, _, _ = _zeta_sum(model, lam[live], coeff)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = fv / dv
-        ok = np.isfinite(fv) & np.isfinite(dv) & (dv != 0.0)
-        ok &= np.isfinite(step) & (np.abs(step) <= 0.05)
+        ok = np.abs(step) <= 0.05 * np.abs(lam[live])
         live = live[ok]
-        z[live] -= step[ok]
-    return _canonicalize_array(np.where(np.abs(z - cands) <= 0.05, z, cands))
-
-
-def _verified(model: TrigModel, cands: np.ndarray, use_numerator: bool) -> np.ndarray:
-    if len(cands) == 0:
-        return cands
-    coeff = model.weights * (model.fvals if use_numerator else 1.0)
-    cands = _polished(model, cands, coeff)
-    total, _, ref, _ = _kernel_sum(model, cands, coeff)
-    bad = ~np.isfinite(ref)
-    if np.any(bad):
-        # A candidate may sit within rounding of a support point; nudge off.
-        total[bad], _, ref[bad], _ = _kernel_sum(model, cands[bad] + 1e-12j, coeff)
-    keep = np.abs(total) <= RESIDUAL_TOL * ref
-    out = cands[keep]
-    # Deduplicate coincident candidates (a multiple root gives several
-    # nearby eigenvalues, which polishing can pull onto one point).
-    if len(out) > 1:
-        order = np.lexsort((out.imag, out.real))
-        out = out[order]
-        gaps = strip_distance(out[1:], out[:-1])
-        out = np.concatenate([out[:1], out[1:][gaps > 1e-9]])
-    return out
+        lam[live] -= step[ok]
+    return np.where(np.abs(lam - cands) <= 0.05 * np.abs(cands), lam, cands)
 
 
 def poles_and_zeros(model: TrigModel) -> PoleZeroReport:
     """Locate all poles and zeros of the model in the canonical strip.
 
     Builds the generalized eigenvalue pencils from the transformed model
-    (denominator data for poles, numerator data for zeros), maps the finite
-    eigenvalues back to the strip, and keeps those passing the barycentric
-    residual check.  Both parities share the one zeta = e^{iz} pencil, so
+    (denominator data for poles, numerator data for zeros), keeps the
+    finite eigenvalues passing the residual check in zeta, and maps those
+    back to the strip.  Both parities share the one zeta = e^{iz} pencil, so
     no strip point needs a separate test.
     """
     if model.m < 2:
@@ -203,10 +157,31 @@ def poles_and_zeros(model: TrigModel) -> PoleZeroReport:
 
 
 def _roots(model: TrigModel, use_numerator: bool) -> np.ndarray:
-    """The verified poles (denominator) or zeros (numerator), sorted."""
-    cands = _map_back(_eigen_candidates(transform(model), use_numerator))
-    roots = _verified(model, cands, use_numerator)
-    return roots[np.lexsort((roots.imag, roots.real))]
+    """The verified poles (denominator) or zeros (numerator), sorted.
+
+    Eigenvalues with |lambda| below 1e-13 or above 1e13, next to the
+    branch points 0 and infinity of zeta = e^{iz}, sit below eigenvalue
+    noise and would land at |Im z| beyond 29: they represent the far field,
+    not strip points.  The rest are polished and checked in lambda, and only
+    the verified ones are mapped back to z.
+    """
+    lam = _eigen_candidates(transform(model), use_numerator)
+    lam = lam[(np.abs(lam) > 1e-13) & (np.abs(lam) < 1e13)]
+    coeff = model.weights * (model.fvals if use_numerator else 1.0)
+    lam = _polished(model, lam, coeff)
+    total, _, ref, _ = _zeta_sum(model, lam, coeff)
+    bad = ~np.isfinite(ref)
+    if np.any(bad):
+        # A candidate may sit within rounding of a node; nudge it off by
+        # lambda e^{-1e-12}, which is z + 1e-12i.
+        total[bad], _, ref[bad], _ = _zeta_sum(model, lam[bad] * np.exp(-1e-12), coeff)
+    z = _canonicalize_array(-1j * np.log(lam[np.abs(total) <= RESIDUAL_TOL * ref]))
+    z = z[np.lexsort((z.imag, z.real))]
+    # Deduplicate coincident roots (a multiple root gives several nearby
+    # eigenvalues, which polishing can pull onto one point).
+    if len(z) > 1:
+        z = np.concatenate([z[:1], z[1:][strip_distance(z[1:], z[:-1]) > 1e-9]])
+    return z
 
 
 def _pf_constant(model: TrigModel) -> complex:
@@ -218,11 +193,18 @@ def _pf_constant(model: TrigModel) -> complex:
 
 
 def _quotient_parts(model: TrigModel, poles):
-    """Numerator n(p), denominator derivative d'(p) and its largest term."""
-    poles = np.asarray(poles, dtype=complex)
-    num, _, _, _ = _kernel_sum(model, poles, model.weights * model.fvals)
-    _, dprime, _, ref = _kernel_sum(model, poles, model.weights)
-    return num, dprime, ref
+    """n(p)/h, d'(p)/h and the scale of d'/h's largest term, with h as in
+    :func:`_zeta_sum` and lambda = e^{ip}.
+
+    d = h S, so d'/h = dlog(h) S + i lambda S' by d/dz = i lambda d/dlambda,
+    with dlog(h) = i/2 (odd) or 0 (even).  The dlog(h) term vanishes at a
+    true pole, but keeps the quotient exact at any point.
+    """
+    lam = np.exp(1j * np.asarray(poles, dtype=complex))
+    num, _, _, _ = _zeta_sum(model, lam, model.weights * model.fvals)
+    den, dden, _, dref = _zeta_sum(model, lam, model.weights)
+    dlog_h = 0.5j if model.parity is Parity.ODD else 0.0
+    return num, dlog_h * den + 1j * lam * dden, np.abs(lam) * dref
 
 
 def _residues_unchecked(model: TrigModel, poles) -> np.ndarray:
@@ -234,7 +216,7 @@ def _residues_unchecked(model: TrigModel, poles) -> np.ndarray:
 def residues(model: TrigModel, poles) -> np.ndarray:
     """Classical residues Res_{z=p} r(z) = n(p)/d'(p) at simple poles.
 
-    d' is evaluated analytically in zeta = e^{iz} (:func:`_kernel_sum`).
+    n and d' are evaluated in zeta = e^{iz} (:func:`_quotient_parts`).
     The partial-fraction coefficient of the cotangent form is half of the
     classical residue.  Raises for (numerically) non-simple poles.
     """

@@ -225,7 +225,8 @@ def fit(samples: SampleSet, config: FitConfig = FitConfig()) -> TrigModel:
     Runs :func:`greedy` on the trigonometric Loewner system, under the
     far-field constraint when config.far_field is set.  Returns the model
     from the last iteration, cleaned up when config.cleanup is set;
-    ``converged`` is False when the caps ended the loop first.
+    ``converged`` is False when the caps ended the loop first, or when
+    cleanup's re-solve misses the tolerance.
     """
     support, weights, history, scale, converged = greedy(
         samples,
@@ -254,7 +255,9 @@ def cleanup(model: TrigModel, samples: SampleSet, config: FitConfig) -> TrigMode
     Poles whose classical residue falls below cleanup_tol * scale mark their
     nearest support point for removal; a single final :func:`solve_weights`
     on the reduced support produces the returned model.  A model with no
-    small residues is returned unchanged.  The support points are located
+    small residues is returned unchanged.  The cleaned model is
+    ``converged`` only if the raw one was and the re-solve's sample error is
+    at most config.rel_tol * scale.  The support points are located
     among the samples by :func:`_support_sample_indices`, since a model (one
     read from a file, say) carries no sample indices.
     """
@@ -296,15 +299,15 @@ def _cleanup(model: TrigModel, samples: SampleSet, config: FitConfig, support_id
     weights, _, res = solve_weights(
         samples, support_idx, columns, _far_rows(config.far_field, model.parity)
     )
-    history = np.append(model.err_history[: len(keep) - 1], float(np.max(res)))
+    err = float(np.max(res))
     return TrigModel(
         model.parity,
         samples.points[support_idx],
         samples.values[support_idx],
         weights,
-        history,
+        np.append(model.err_history[: len(keep) - 1], err),
         model.scale,
-        converged=model.converged,
+        converged=model.converged and err <= config.rel_tol * model.scale,
     )
 
 

@@ -347,6 +347,13 @@ class TestCommands:
             main(["fit"])  # missing required flags
         assert exc.value.code == 2
 
+    def test_unread_option_is_usage_error(self, tmp_path, capsys):
+        # compare-aaa reads no input file, so it takes no --period.
+        with pytest.raises(SystemExit) as exc:
+            main(["compare-aaa", "--period", "1", "--out", str(tmp_path / "c")])
+        assert exc.value.code == 2
+        assert "--period" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # Table bytes and points parsing, against cell-by-cell references

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from aaatrig.polezero import (
-    _kernel_sum,
+    _zeta_sum,
     partial_fraction_eval,
     partial_fractions,
     poles_and_zeros,
@@ -192,41 +192,47 @@ class TestNearPiSupport:
 
 
 class TestKernelSum:
+    """The sum S(lambda) in lambda = e^{iz} that verifies, polishes and
+    takes residues; the kernel sum is h S with h = 2i e^{iz/2} (odd) or i."""
+
     @pytest.mark.parametrize("parity", list(Parity))
     def test_derivative_against_finite_differences(self, parity):
         # Points at |Im z| about 0.5, 39 and 41, above and below the real
-        # axis, where zeta = e^{iz} is near 1, tiny or huge.
-        h = 1e-5
+        # axis, where lambda = e^{iz} is near 1, tiny or huge.
         rng = np.random.default_rng(1)
         model = random_model(rng, 5, parity)
         heights = np.repeat([0.5, 39.0, 41.0, -0.5, -39.0, -41.0], 4)
         z = rng.uniform(0.0, TWO_PI, len(heights)) + 1j * heights
-        total, deriv, ref, dref = _kernel_sum(model, z, model.weights)
+        lam = np.exp(1j * z)
+        total, deriv, ref, dref = _zeta_sum(model, lam, model.weights)
+        h = 2j * np.exp(0.5j * z) if parity is Parity.ODD else 1j
         direct, _ = barycentric_sum(model, z)
-        assert np.all(np.abs(total - direct) <= 1e-12 * ref)
-        fd = (_kernel_sum(model, z + h, model.weights)[0]
-              - _kernel_sum(model, z - h, model.weights)[0]) / (2 * h)
-        # FD rounding is about eps * m * ref / h.
-        assert np.all(np.abs(deriv - fd) <= 1e-7 * dref + 1e-9 * ref)
-
+        assert np.all(np.abs(h * total - direct) <= 1e-12 * np.abs(h) * ref)
+        # Step 1e-5 of the distance to the nearest node, the scale on which
+        # S varies; FD rounding is then about eps * m * ref / step.
+        step = 1e-5 * np.min(np.abs(lam[:, None] - np.exp(1j * model.support)), axis=1)
+        fd = (_zeta_sum(model, lam + step, model.weights)[0]
+              - _zeta_sum(model, lam - step, model.weights)[0]) / (2 * step)
+        assert np.all(np.abs(deriv - fd) <= 1e-7 * dref + 1e-14 * ref / step)
 
     @pytest.mark.parametrize("parity", list(Parity))
     @pytest.mark.parametrize("y", [5.0, 10.0, 18.0, 25.0, 40.0, -18.0, -40.0])
     def test_derivative_against_mpmath_off_axis(self, parity, y):
-        # Far from the axis cot' = -1 - cot^2 cancels; the derivative must
-        # keep its relative accuracy there.
+        # Far from the axis cot' = -1 - cot^2 cancels; residues n/d' must
+        # keep their relative accuracy there, at any point, pole or not.
         model = random_model(np.random.default_rng(2), 5, parity)
         z = 1.3 + 1j * y
-        _, deriv, _, _ = _kernel_sum(model, np.asarray([z]), model.weights)
+        got = residues(model, [z])[0]
         with mpmath.workdps(40):
-            exact = mpmath.mpc(0)
-            for zj, wj in zip(model.support, model.weights):
+            num = dden = mpmath.mpc(0)
+            for zj, fj, wj in zip(model.support, model.fvals, model.weights):
                 u = (mpmath.mpc(z) - mpmath.mpc(zj)) / 2
                 csc = mpmath.csc(u)
-                dk = -csc * mpmath.cot(u) if parity is Parity.ODD else -csc * csc
-                exact += mpmath.mpc(wj) * dk / 2
-            exact = complex(exact)
-        assert abs(deriv[0] - exact) <= 1e-12 * abs(exact)
+                k, dk = (csc, -csc * mpmath.cot(u)) if parity is Parity.ODD else (mpmath.cot(u), -csc * csc)
+                num += mpmath.mpc(fj) * mpmath.mpc(wj) * k
+                dden += mpmath.mpc(wj) * dk / 2
+            exact = complex(num / dden)
+        assert abs(got - exact) <= 1e-12 * abs(exact)
 
 
 class TestResidues:

@@ -375,12 +375,10 @@ class TestCleanup:
             assert abs(got.f_plus - target.f_plus) <= 1e-6 * (1 + abs(target.f_plus))
             assert abs(got.f_minus - target.f_minus) <= 1e-6 * (1 + abs(target.f_minus))
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 2: cleanup copies converged from the raw fit, whatever "
-        "the cleaned model's sample error (4.1e-5 here against 2e-12)"))
     def test_converged_means_within_tolerance(self):
         # Even parity with a sample 2e-6 from pi: the raw fit converges at
-        # m = 3, and cleanup drops the third support point.
+        # m = 3, and cleanup drops the third support point, leaving an
+        # error of 4.1e-5 against 2e-12; the cleaned model must say so.
         x = TWO_PI * np.arange(400) / 400
         x[200] = np.pi + 2e-6
         ss = SampleSet.from_data(x, 1.0 / (1.05 + np.cos(x)))
