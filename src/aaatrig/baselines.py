@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solver
-from .trigbary import SampleSet, TWO_PI, barycentric_ratio
+from .trigbary import SampleSet, TWO_PI, barycentric_ratio, by_blocks
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,10 @@ def aaa_fit(samples: SampleSet, rel_tol: float = 1e-13, max_order: int = 100) ->
 
 
 def evaluate_aaa(model: AaaModel, zs) -> np.ndarray:
-    """Evaluate the classic barycentric rational elementwise."""
-    zs = np.asarray(zs, dtype=complex)
-    diff = np.atleast_1d(zs).ravel()[:, None] - model.support[None, :]
+    """Evaluate the classic barycentric rational elementwise, by blocks of zs as given."""
     # Cauchy weights w_j and no heads; a support hit is |z - z_j| < SUPPORT_TOL.
-    out = barycentric_ratio(diff, 1.0, model.weights, 0.0, model.fvals)
-    return out.reshape(zs.shape)
+    return by_blocks(lambda z: barycentric_ratio(z[:, None] - model.support, 1.0, model.weights,
+                                                 0.0, model.fvals), zs, model.m)
 
 
 def fft_interpolant(samples: SampleSet, m: int | None = None) -> FourierInterpolant:
@@ -103,7 +101,7 @@ def evaluate_fourier(interp: FourierInterpolant, zs) -> np.ndarray:
     k_hi = min(m, (M - 1) // 2)
     for k in range(1, k_hi + 1):
         out += F[k] * np.exp(1j * k * flat) + F[M - k] * np.exp(-1j * k * flat)
-    if M % 2 == 0 and m == M // 2:
+    if M % 2 == 0 and m >= M // 2:
         out += F[M // 2] * np.cos(M * flat / 2.0)
     return out.reshape(zs.shape)
 

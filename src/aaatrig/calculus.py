@@ -12,7 +12,6 @@ to 4 are supported; higher orders are numerically fragile and are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
@@ -24,9 +23,10 @@ MAX_ORDER = 4
 # 2*pi shifts, below which derivative_at refuses a point.
 SUPPORT_GUARD = 1e-8
 
-# Stirling numbers of the second kind S(p, k), k = 1..p:
-# (zeta d/dzeta)^p = sum_k S(p, k) zeta^k (d/dzeta)^k.
-STIRLING2 = ((1,), (1, 1), (1, 3, 1), (1, 7, 6, 1))
+# S(p, k) k! for k = 1..p, with S(p, k) the Stirling numbers of the second
+# kind ((1,), (1, 1), (1, 3, 1), (1, 7, 6, 1)):
+# (zeta d/dzeta)^p = sum_k S(p, k) k! zeta^k (d/dzeta)^k / k!.
+STIRLING2_FACTORIAL = ((1,), (1, 2), (1, 6, 6), (1, 14, 36, 24))
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def derivative_at(model: TrigModel, z, p: int):
         raise ValueError("derivative order must be positive")
     if p > MAX_ORDER:
         raise ValueError("unsupported order")
-    out = blockwise(lambda s, zc: _derivative_block(model, s, zc, p), z)
+    out = blockwise(lambda s, zc: _derivative_block(model, s, zc, p), z, model.m)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -107,7 +107,7 @@ def _derivative_block(model, s, zc, p):
     zeta_j, a, c = _zeta_form(model, s, model.weights)
     zeta = np.exp(s * 1j * zc)
     diff = zeta[:, None] - zeta_j
-    if np.any(np.abs(diff) < SUPPORT_GUARD * np.abs(zeta_j)):
+    if (np.abs(diff) < SUPPORT_GUARD * np.abs(zeta_j)).any():
         raise ValueError("too close to a support point; use diff_matrix")
     cauchy, den, t = _cauchy_sum(diff, a, c, model.fvals)
     d = model.fvals
@@ -122,9 +122,9 @@ def _derivative_block(model, s, zc, p):
 def _z_derivative(s, zeta, taylor):
     """r^{(p)}(z) from taylor[k - 1] = R^{(k)}(zeta)/k!, k = 1..p, at zeta = e^{isz}.
 
-    d/dz = is * zeta d/dzeta, expanded with the Stirling numbers STIRLING2.
+    d/dz = is * zeta d/dzeta, expanded with the coefficients STIRLING2_FACTORIAL.
     """
     out = 0j
-    for k, (stirling, t) in enumerate(zip(STIRLING2[len(taylor) - 1], taylor), start=1):
-        out = out + stirling * factorial(k) * zeta**k * t
+    for k, (coef, t) in enumerate(zip(STIRLING2_FACTORIAL[len(taylor) - 1], taylor), start=1):
+        out = out + coef * zeta**k * t
     return (1j * s) ** len(taylor) * out

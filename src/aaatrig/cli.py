@@ -133,7 +133,7 @@ CSV_COLUMNS = ["re_z", "im_z", "re_f", "im_f"]
 def ingest(path: str, fmt: str = "csv") -> SampleSet:
     """Load samples from CSV (header re_z,im_z,re_f,im_f) or JSON."""
     if fmt == "csv":
-        points, values = _read_csv_samples(path)
+        points, values = np.ascontiguousarray(_read_csv(path, CSV_COLUMNS, exact=True).T)
     elif fmt == "json":
         points, values = _load_json(
             path, lambda doc: (_unpairs(doc["points"]), _unpairs(doc["values"])),
@@ -149,66 +149,50 @@ def ingest(path: str, fmt: str = "csv") -> SampleSet:
         raise ValueError(f"{path}: {exc}")
 
 
-def _read_csv_samples(path: str):
-    points, values = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != CSV_COLUMNS:
-            raise ValueError(f"{path}: expected header {','.join(CSV_COLUMNS)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}: line {lineno}: expected 4 columns")
-            try:
-                vals = [float(v) for v in row]
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: malformed number")
-            points.append(complex(vals[0], vals[1]))
-            values.append(complex(vals[2], vals[3]))
-    return np.asarray(points, dtype=complex), np.asarray(values, dtype=complex)
-
-
 def read_points(path: str, fmt: str = "csv") -> np.ndarray:
     """Load evaluation points: CSV (header re_z,im_z) or JSON {"points": ...}."""
     if fmt == "json":
         return _load_json(path, lambda doc: _unpairs(doc["points"]), "JSON points file")
+    return _read_csv(path, CSV_COLUMNS[:2], exact=False).ravel()
+
+
+def _read_csv(path: str, columns: list[str], exact: bool) -> np.ndarray:
+    """The (re, im) pairs of a CSV table, (n, len(columns) // 2) complex.  The header
+    is columns (exact) or starts with them; each non-blank line holds that many
+    numbers (exact) or at least that many fields, of which the first are numbers."""
+    k = len(columns)
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None or [h.strip() for h in header][:2] != CSV_COLUMNS[:2]:
-            raise ValueError(f"{path}: expected header re_z,im_z")
-        # loadtxt parses every field, so it succeeds only when each line is
-        # the same count of plain numbers: no quote, no text column, no
-        # whitespace-only line.  Such a file splits the same way under the
-        # csv rules.  A view of the (x, y) pairs keeps 1.0,inf as 1+infj,
-        # where x + 1j*y would give nan+infj.
+        names = [h.strip() for h in next(csv.reader(fh), None) or ()]
+        if (names if exact else names[:k]) != columns:
+            raise ValueError(f"{path}: expected header {','.join(columns)}")
+        # loadtxt parses every field, so it succeeds only on lines of one
+        # count of plain numbers, which split the same way under the csv
+        # rules.  Viewing (x, y) pairs keeps 1.0,inf as 1+infj (x + 1j*y: nan+infj).
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                xy = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+                table = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
         except ValueError:
-            xy = None
-        if xy is not None and len(xy) == 0:
-            return np.empty(0, dtype=complex)
-        if xy is not None and xy.shape[1] >= 2:
-            return np.ascontiguousarray(xy[:, :2]).view(complex).ravel()
-        # Every other file goes through the csv reader, the only path for
-        # forms the format accepts and loadtxt refuses (whitespace-only
-        # lines, quoted numbers, 1_0, extra columns that are not numbers)
-        # and the only one that can name the line of a malformed point.
-        fh.seek(0)
-        reader = csv.reader(fh)
-        next(reader)
-        points = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                points.append(complex(float(row[0]), float(row[1])))
-            except (ValueError, IndexError):
-                raise ValueError(f"{path}: line {lineno}: malformed point")
-    return np.asarray(points, dtype=complex)
+            table = np.empty((0, 0))
+        if table.shape[1] < k or (exact and table.shape[1] > k):
+            # The csv reader takes what loadtxt refuses (whitespace-only lines,
+            # quoted numbers, 1_0, text columns) and names a malformed line.
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if exact and len(row) != k:
+                    raise ValueError(f"{path}: line {lineno}: expected {k} columns")
+                try:
+                    rows.append([float(row[i]) for i in range(k)])
+                except (ValueError, IndexError):
+                    what = "number" if exact else "point"
+                    raise ValueError(f"{path}: line {lineno}: malformed {what}")
+            table = np.asarray(rows, dtype=float).reshape(-1, k)
+    return np.ascontiguousarray(table[:, :k]).view(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +295,8 @@ def cmd_diff(args) -> int:
 def cmd_clean(args) -> int:
     model = read_model(args.model)
     samples = _samples(args)
-    config = solver.FitConfig(parity=model.parity, cleanup_tol=args.tol)
+    far = _parse_finf(args.finf, model.parity) if args.finf else None
+    config = solver.FitConfig(parity=model.parity, cleanup_tol=args.tol, far_field=far)
     cleaned = solver.cleanup(model, samples, config)
     write_model(args.out + ".model.json", cleaned)
     print(f"clean: m {model.m} -> {cleaned.m}")
@@ -430,6 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("clean", help="rerun doublet cleanup on a model")
     _add_common(p, data=True, model=True)
     p.add_argument("--tol", type=float, default=1e-13)
+    p.add_argument("--finf", default=None, help='far-field target "re,im[;re,im]"')
     p.set_defaults(func=cmd_clean)
 
     p = sub.add_parser("compare-aaa", help="error tables: trigonometric vs classic fit")

@@ -23,6 +23,7 @@ from .trigbary import (
     _canonicalize_array,
     _cst_values,
     _zeta_form,
+    by_blocks,
     far_field,
     strip_distance,
 )
@@ -250,12 +251,15 @@ def partial_fractions(model: TrigModel) -> PartialFractions:
 
 
 def partial_fraction_eval(pf: PartialFractions, z) -> np.ndarray:
-    """Evaluate sum_k q_k cot((z - p_k)/2) + c elementwise."""
+    """Evaluate sum_k q_k cot((z - p_k)/2) + c elementwise, by blocks of z as given."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if len(pf.poles) == 0:
         return np.full(z.shape, pf.constant)
-    u = (z[:, None] - pf.poles[None, :]) / 2.0
-    return np.einsum("ij,j->i", _cst_values(Parity.EVEN, u), pf.coefficients) + pf.constant
+
+    def block(zb):
+        u = (zb[:, None] - pf.poles) / 2.0
+        return np.einsum("ij,j->i", _cst_values(Parity.EVEN, u), pf.coefficients) + pf.constant
+    return by_blocks(block, z, len(pf.poles))
 
 
 def taper_fit(points, corner: complex, k_max: int) -> TaperFit:

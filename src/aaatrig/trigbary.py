@@ -28,11 +28,10 @@ LARGE_IMAG = 20.0
 # precision cannot resolve the basis closer.
 SUPPORT_TOL = 1e-13
 
-# Points per block of blockwise (evaluate_batch, derivative_at).  Each
-# block-by-support temporary takes 2 MiB at m = 64; 8192-point blocks
-# (8 MiB) left the peak RSS of repeated batches about 18 MiB higher, for
-# no gain in speed.
-EVAL_BLOCK = 2048
+# Cells (points x support points) per block of by_blocks: 1 MiB per complex
+# temporary whatever m, half a 2 MiB L2 cache.  With 2048-point blocks (2 MiB
+# at m = 64) the 64-point interpolant took 0.21 s per 10^5 points, not 0.13 s.
+EVAL_CELLS = 2**16
 
 # Returned by evaluate() when the denominator vanishes exactly off-support.
 POLE_VALUE = complex(np.inf, np.inf)
@@ -67,7 +66,7 @@ def _canonicalize_array(z: np.ndarray) -> np.ndarray:
     out = z - TWO_PI * np.floor(z.real / TWO_PI)
     # Tiny negative real parts can round up to exactly 2*pi.
     wrap = out.real >= TWO_PI
-    if np.any(wrap):
+    if wrap.any():
         out = np.where(wrap, out - TWO_PI, out)
     return out
 
@@ -91,7 +90,7 @@ def _cst_values(parity: Parity, u: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = 1.0 / np.sin(u) if parity is Parity.ODD else np.cos(u) / np.sin(u)
         far = np.abs(u.imag) > LARGE_IMAG
-        if np.any(far):
+        if far.any():
             s = np.sign(u.imag[far])
             e = np.exp(1j * s * u[far])
             numer = 2.0 * e if parity is Parity.ODD else e * e + 1.0
@@ -240,7 +239,7 @@ class FarField:
 
 def evaluate(model: TrigModel, z: complex) -> complex:
     """Evaluate r(z).  Exact at support points; POLE_VALUE at a hit pole."""
-    return complex(evaluate_batch(model, np.asarray([z], dtype=complex))[0])
+    return complex(evaluate_batch(model, z))
 
 
 def evaluate_batch(model: TrigModel, zs) -> np.ndarray:
@@ -258,31 +257,42 @@ def evaluate_batch(model: TrigModel, zs) -> np.ndarray:
         # 2*pi shifts.
         return barycentric_ratio(diff, np.abs(zeta_j), a, c, model.fvals)
 
-    return blockwise(block, zs)
+    return blockwise(block, zs, model.m)
 
 
-def blockwise(fn, zs) -> np.ndarray:
+def by_blocks(fn, zs, width: int) -> np.ndarray:
+    """fn on the points of zs, EVAL_CELLS // width (at least 1) at a time; shaped as zs."""
+    zs = np.asarray(zs, dtype=complex)
+    flat = zs.reshape(-1)
+    out = np.empty_like(flat)
+    step = max(1, EVAL_CELLS // max(1, width))
+    for start in range(0, flat.size, step):
+        out[start:start + step] = fn(flat[start:start + step])
+    return out.reshape(zs.shape)
+
+
+def blockwise(fn, zs, width: int) -> np.ndarray:
     """fn(s, points) on the canonicalized points of zs, by block and half-plane.
 
-    Each block of EVAL_BLOCK points is split by the sign s of Im z: s = +1
-    where Im z >= 0, s = -1 below, so |e^{isz}| <= 1 at every point fn gets.
-    fn's block-by-support temporaries thus take O(EVAL_BLOCK * m) memory
-    whatever the number of points.  The result has the shape of zs.
-    Raises on non-finite points.
+    The blocks are those of by_blocks.  Each is split by the sign s of Im z
+    (+1 where Im z >= 0), so |e^{isz}| <= 1 at every point fn gets; a block in
+    one half-plane goes to fn whole.  Raises on non-finite points.
     """
     zs = np.asarray(zs, dtype=complex)
-    flat = np.atleast_1d(zs).ravel()
-    if not np.all(np.isfinite(flat.real) & np.isfinite(flat.imag)):
+    if not np.isfinite(zs).all():
         raise ValueError("non-finite sample point")
-    zc = _canonicalize_array(flat)
-    out = np.empty(flat.shape, dtype=complex)
-    for start in range(0, zc.size, EVAL_BLOCK):
-        chunk, dest = zc[start:start + EVAL_BLOCK], out[start:start + EVAL_BLOCK]
+
+    def block(chunk):
+        chunk = _canonicalize_array(chunk)
         down = chunk.imag < 0.0
-        for s, rows in ((1.0, ~down), (-1.0, down)):
-            if rows.any():
-                dest[rows] = fn(s, chunk[rows])
-    return out.reshape(zs.shape)
+        n_down = np.count_nonzero(down)
+        if n_down in (0, chunk.size):
+            return fn(-1.0 if n_down else 1.0, chunk)
+        out = np.empty_like(chunk)
+        out[~down], out[down] = fn(1.0, chunk[~down]), fn(-1.0, chunk[down])
+        return out
+
+    return by_blocks(block, zs, width)
 
 
 def _zeta_form(model, s, weights):
@@ -315,7 +325,8 @@ def barycentric_ratio(diff, scale, a, c, fvals) -> np.ndarray:
         _, den, out = _cauchy_sum(diff, a, c, fvals)
     out[den == 0.0] = POLE_VALUE
     hit = near.any(axis=1)
-    out[hit] = fvals[np.argmax(near[hit], axis=1)]
+    if hit.any():
+        out[hit] = fvals[np.argmax(near[hit], axis=1)]
     return out
 
 
@@ -324,11 +335,11 @@ def _cauchy_sum(diff, a, c, f):
 
     Row i's value is sum_j (a_j/diff_ij + c_j) f_j / sum_j (a_j/diff_ij + c_j).
     No product or sum mixes rows, so a point's value does not depend on the
-    batch it is in.
+    batch it is in.  The sums over c are np.sum's reduction, called directly.
     """
     cauchy = a / diff
-    den = np.sum(c) + np.einsum("ij->i", cauchy)
-    return cauchy, den, (np.sum(c * f) + np.einsum("ij,j->i", cauchy, f)) / den
+    den = np.add.reduce(c, axis=None) + np.einsum("ij->i", cauchy)
+    return cauchy, den, (np.add.reduce(c * f, axis=None) + np.einsum("ij,j->i", cauchy, f)) / den
 
 
 def far_field(model: TrigModel) -> FarField:

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from aaatrig.baselines import (
+    AaaModel,
     FourierInterpolant,
     aaa_fit,
     evaluate_aaa,
@@ -46,6 +49,22 @@ class TestAaa:
         trig = fit(ss, FitConfig(cleanup=False))
         aaa = aaa_fit(ss)
         assert aaa.m < trig.m
+
+    def test_evaluate_memory_bounded(self):
+        # One 200000 x 54 temporary would take 173 MB; blocks of
+        # EVAL_CELLS cells keep each at 1 MiB.
+        rng = np.random.default_rng(13)
+        m, n = 54, 200_000
+        model = AaaModel(rng.uniform(0, TWO_PI, m) + 0j, rng.standard_normal(m) + 0j,
+                         rng.standard_normal(m) + 0j, np.zeros(m), 1.0)
+        zs = rng.uniform(0, TWO_PI, n) + 1j * rng.uniform(-1, 1, n)
+        tracemalloc.start()
+        try:
+            evaluate_aaa(model, zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"max_order": 0}, "max_order must be positive"),
@@ -118,6 +137,16 @@ class TestFourier:
         best = V @ coef
         ours = evaluate_fourier(trunc, x)
         assert np.max(np.abs(ours - best)) <= 1e-11 * np.max(np.abs(best))
+
+    def test_order_above_half_grid_keeps_nyquist_mode(self):
+        # On even M, an order past M/2 keeps every mode, the Nyquist one too.
+        M = 8
+        x = TWO_PI * np.arange(M) / M
+        f = np.cos(4 * x) + np.cos(x)
+        coeffs = fft_interpolant(SampleSet.from_data(x, f)).coefficients
+        for m in (4, 5):
+            vals = evaluate_fourier(FourierInterpolant(coeffs, m, M), x)
+            assert np.max(np.abs(vals - f)) <= 1e-14
 
     def test_requires_uniform_grid(self):
         ss = SampleSet.from_data([0.0, 1.0, 2.0, 5.0], np.ones(4))

@@ -5,6 +5,7 @@ import pytest
 from aaatrig.calculus import derivative_at, diff_matrix
 from aaatrig.solver import FitConfig, fit
 from aaatrig.trigbary import (
+    EVAL_CELLS,
     Parity,
     SampleSet,
     TrigModel,
@@ -208,6 +209,31 @@ class TestDerivativeAt:
         scalar = [derivative_at(model, z, p) for z in zs.ravel()]
         assert all(isinstance(v, complex) for v in scalar)
         assert np.array_equal(vals.ravel(), scalar)
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    @pytest.mark.parametrize("m", [1, 6, 64])
+    def test_scalar_calls_match_array_bytes(self, parity, m):
+        # The first block mixes both half-planes; the second lies below the
+        # real axis, where a block goes to the kernel whole.
+        rng = np.random.default_rng(16 + m)
+        if m == 64:
+            sup = TWO_PI * np.arange(m) / m
+            model = TrigModel.build(parity, sup, np.exp(np.sin(sup)),
+                                    rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        else:
+            model = random_model(rng, m, parity)
+        edge = EVAL_CELLS // m
+        n = edge + 40
+        zs = rng.uniform(0, TWO_PI, n) + 1j * rng.uniform(-2, 2, n)
+        zs[edge:] = zs[edge:].real - 1j * np.abs(zs[edge:].imag)
+        zs[edge + 5] += -60j  # far field
+        assert np.any(zs[:edge].imag < 0) and np.any(zs[:edge].imag >= 0)
+        # Every point near the block edge, and a sample of the rest.
+        idx = np.unique(np.r_[np.arange(0, n, max(1, n // 150)), edge - 3:edge + 3, n - 1])
+        for p in range(1, 5):
+            whole = derivative_at(model, zs, p)
+            scalar = np.array([derivative_at(model, zs[i], p) for i in idx])
+            assert whole[idx].tobytes() == scalar.tobytes()
 
     @pytest.mark.parametrize("parity", list(Parity))
     @pytest.mark.parametrize("p", [1, 4])

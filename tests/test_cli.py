@@ -24,7 +24,7 @@ from aaatrig.cli import (
     write_model,
     write_table,
 )
-from aaatrig.trigbary import Parity, SampleSet, TrigModel, TWO_PI, evaluate_batch
+from aaatrig.trigbary import Parity, SampleSet, TrigModel, TWO_PI, evaluate_batch, far_field
 
 
 def write_csv(path, rows, header="re_z,im_z,re_f,im_f"):
@@ -225,6 +225,22 @@ class TestCommands:
                      "--data", str(data), "--out", str(out2)]) == 0
         assert (tmp_path / "c.model.json").exists()
 
+    def test_clean_holds_far_field(self, tmp_path):
+        # Model files do not record --finf, so clean takes it again; cleaned
+        # without it, this model's far field drifts to about -1.32 -+ 0.14i.
+        xs = TWO_PI * np.arange(1000) / 1000
+        data = tmp_path / "s.csv"
+        write_csv(data, [(x, 0.0, np.tanh(60.0 * np.cos(x)), 0.0) for x in xs])
+        out = tmp_path / "f"
+        assert main(["fit", "--data", str(data), "--finf", "0,0", "--no-cleanup",
+                     "--out", str(out)]) == 0
+        assert main(["clean", "--model", str(out) + ".model.json", "--data", str(data),
+                     "--finf", "0,0", "--out", str(tmp_path / "c")]) == 0
+        raw, cleaned = read_model(str(out) + ".model.json"), read_model(str(tmp_path / "c.model.json"))
+        assert cleaned.m < raw.m
+        ff = far_field(cleaned)
+        assert max(abs(ff.f_plus), abs(ff.f_minus)) <= 1e-7
+
     def test_compare_fft_small(self, tmp_path):
         out = tmp_path / "cf"
         assert main(["compare-fft", "--n", "200", "--mmax", "12", "--out", str(out)]) == 0
@@ -259,8 +275,6 @@ class TestCommands:
         assert main(["fit", "--data", str(data), "--finf", "0,1;0,-1",
                      "--out", str(out)]) == 0
         model = read_model(str(out) + ".model.json")
-        from aaatrig.trigbary import far_field
-
         ff = far_field(model)
         assert abs(ff.f_plus - 1j) < 1e-6
         assert abs(ff.f_minus + 1j) < 1e-6

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
 
 from aaatrig.polezero import (
+    PartialFractions,
     _zeta_sum,
     partial_fraction_eval,
     partial_fractions,
@@ -326,6 +329,22 @@ class TestPartialFractions:
                 batch = partial_fraction_eval(pf, zs)
                 alone = np.array([partial_fraction_eval(pf, zs[i:i + 1])[0] for i in range(257)])
                 assert np.array_equal(alone, batch)
+
+    def test_eval_memory_bounded(self):
+        # One 200000 x 54 temporary would take 173 MB; blocks of
+        # EVAL_CELLS cells keep each at 1 MiB.
+        rng = np.random.default_rng(49)
+        k, n = 54, 200_000
+        pf = PartialFractions(rng.uniform(0, TWO_PI, k) + 1j * rng.uniform(1, 2, k),
+                              rng.standard_normal(k) + 0j, 0.5 + 0j)
+        zs = rng.uniform(0, TWO_PI, n) + 1j * rng.uniform(-0.5, 0.5, n)
+        tracemalloc.start()
+        try:
+            partial_fraction_eval(pf, zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_odd_far_field_identity_random(self):
         rng = np.random.default_rng(47)

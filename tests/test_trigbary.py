@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aaatrig.trigbary import (
-    EVAL_BLOCK,
+    EVAL_CELLS,
     FarField,
     Parity,
     SampleSet,
@@ -146,10 +146,11 @@ class TestEvaluate:
     def test_batch_blocks_match_small_batches(self, parity):
         rng = np.random.default_rng(10)
         model = random_model(rng, 6, parity)
-        n = 2 * EVAL_BLOCK + 7
+        edge = EVAL_CELLS // model.m
+        n = 2 * edge + 7
         zs = rng.uniform(0, TWO_PI, n) + 1j * rng.uniform(-1, 1, n)
         zs[::97] += 1j * rng.uniform(-80, 80, len(zs[::97]))  # far field
-        zs[EVAL_BLOCK - 3 : EVAL_BLOCK + 3] = model.support[0]  # across a block edge
+        zs[edge - 3 : edge + 3] = model.support[0]  # across a block edge
         whole = evaluate_batch(model, zs.reshape(-1, 1))
         pieces = np.concatenate([evaluate_batch(model, zs[i : i + 1000])
                                  for i in range(0, n, 1000)])
