@@ -296,7 +296,8 @@ def cmd_clean(args) -> int:
     model = read_model(args.model)
     samples = _samples(args)
     far = _parse_finf(args.finf, model.parity) if args.finf else None
-    config = solver.FitConfig(parity=model.parity, cleanup_tol=args.tol, far_field=far)
+    config = solver.FitConfig(parity=model.parity, rel_tol=args.rel_tol, cleanup_tol=args.tol,
+                              far_field=far)
     cleaned = solver.cleanup(model, samples, config)
     write_model(args.out + ".model.json", cleaned)
     print(f"clean: m {model.m} -> {cleaned.m}")
@@ -415,6 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("clean", help="rerun doublet cleanup on a model")
     _add_common(p, data=True, model=True)
     p.add_argument("--tol", type=float, default=1e-13)
+    p.add_argument("--rel-tol", type=float, default=1e-13, help="the fit's --tol, for converged")
     p.add_argument("--finf", default=None, help='far-field target "re,im[;re,im]"')
     p.set_defaults(func=cmd_clean)
 

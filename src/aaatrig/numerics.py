@@ -23,20 +23,21 @@ class GepResult:
     discarded_count: int
 
 
-def min_singular_direction(A) -> np.ndarray:
+def min_singular_direction(A, overwrite_a=False) -> np.ndarray:
     """Right singular vector of the smallest singular value of A.
 
     Returns a unit vector w minimising ||A w||_2, its largest-magnitude
-    entry real positive so that downstream output is deterministic.  One
-    owned column-major copy of A (the caller's array is untouched) is
-    factored in place, A = QR, by LAPACK's blocked zgeqrf with its optimal
-    workspace; w comes from the SVD of the cols x cols R, and neither Q nor
-    the left singular vectors are formed.  For rows >= floor(17*cols/9)
-    zgesdd takes this route itself, so w is the thin SVD's vector bit for
-    bit; nearer to square it differs at rounding.
+    entry real positive so that downstream output is deterministic.  A is
+    factored A = QR by LAPACK's blocked zgeqrf with its optimal workspace;
+    w comes from the SVD of the cols x cols R, and neither Q nor the left
+    singular vectors are formed.  With ``overwrite_a`` (as in scipy) an
+    F-contiguous complex128 A is factored in place, its contents lost; any
+    other A, and every A by default, is copied to column-major order.  For
+    rows >= floor(17*cols/9) zgesdd takes this route itself, so w is the
+    thin SVD's vector bit for bit; nearer to square it differs at rounding.
     """
-    A = np.array(np.atleast_2d(A), dtype=complex, order="F")
-    if not np.isfinite(A).all():
+    A = (np.asarray if overwrite_a else np.array)(np.atleast_2d(A), dtype=complex, order="F")
+    if not np.isfinite(A.T.view(float)).all():
         raise ValueError("matrix has non-finite entries")
     rows, cols = A.shape
     if cols < 1 or rows < cols:
@@ -49,7 +50,7 @@ def min_singular_direction(A) -> np.ndarray:
     return _unit_phase(vh[-1].conj())
 
 
-def constrained_min_singular_direction(A, C) -> np.ndarray:
+def constrained_min_singular_direction(A, C, overwrite_a=False) -> np.ndarray:
     """Unit vector w minimising ||A w||_2 subject to C w = 0.
 
     The null-space method (Golub & Van Loan, Matrix Computations, 4th ed.,
@@ -60,23 +61,26 @@ def constrained_min_singular_direction(A, C) -> np.ndarray:
     and w = Q [0; v] with v = min_singular_direction((A Q)[:, r:]); Q itself
     is never formed.  When r >= m only w = 0 satisfies C w = 0, so the
     constraints are dropped and w is the unconstrained solve's, as it is
-    when C has no rows.  The phase rule is min_singular_direction's.
+    when C has no rows; ``overwrite_a`` is then passed on.  The phase rule
+    is min_singular_direction's.
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     C = np.asarray(C, dtype=complex).reshape(-1, A.shape[1])
     if not np.isfinite(C).all():
         raise ValueError("constraint has non-finite entries")
+    if len(C) == 0:
+        return min_singular_direction(A, overwrite_a)
     qr, _, tau, _, info = scipy.linalg.lapack.zgeqp3(C.conj().T)
     if info != 0:
         raise np.linalg.LinAlgError(f"zgeqp3 failed (info {info})")
     diag = np.abs(np.diag(qr))
     r = int(np.count_nonzero(diag > np.finfo(float).eps * np.linalg.norm(C)))
     if r == 0 or r >= A.shape[1]:
-        return min_singular_direction(A)
+        return min_singular_direction(A, overwrite_a)
     reflectors, tau = qr[:, :r], tau[:r]
     AQ = _apply_reflectors(b"R", reflectors, tau, A)
     w = np.zeros((A.shape[1], 1), dtype=complex)
-    w[r:, 0] = min_singular_direction(AQ[:, r:])
+    w[r:, 0] = min_singular_direction(AQ[:, r:], overwrite_a=True)
     return _unit_phase(_apply_reflectors(b"L", reflectors, tau, w)[:, 0])
 
 

@@ -4,14 +4,15 @@ The loop alternates greedy support selection with a least-squares solve for
 the weights: at step m the sample with the largest residual joins the
 support, the Loewner matrix is assembled over the remaining samples, and
 the weights are the right singular vector of its smallest singular value.
-One assembly (:func:`_assemble`) builds every Loewner matrix, for the
-weight solves and the public :func:`loewner_system` alike.
+Each support point's Loewner row is formed over all samples by one formula
+(:func:`_loewner_rows`), and every Loewner matrix is gathered from such rows
+by :func:`_assemble`, for the weight solves and :func:`loewner_system` alike.
 One greedy routine (:func:`greedy`) and one solve step
 (:func:`solve_weights`) serve :func:`fit`, the re-solve in :func:`cleanup`
 and the classic AAA baseline; callers differ only in the kernel and the
-optional far-field constraint they pass.  The greedy keeps the kernel column
-of each support point from one step to the next, so a step costs one new
-column of kernel values and O(M*m) memory for M samples at order m.  The
+optional far-field constraint they pass.  The greedy forms the kernel column
+and Loewner row of a support point once, when it joins, so a step costs them,
+one gather and the factorization, and O(M*m) memory at order m.  The
 trigonometric fit uses the cst kernel, with an optional far-field constraint
 C w = 0 that pins the approximant's values at +-i*infinity; the weight solve
 holds it exactly, by the null-space method.  An optional cleanup pass
@@ -92,21 +93,26 @@ def loewner_system(samples: SampleSet, support_idx, kernel) -> LeastSquaresSyste
         raise ValueError("support indices must be distinct")
     if len(support_idx) > samples.size / 2:
         raise ValueError("order exceeds half the sample count")
-    return _assemble(samples, support_idx, kernel_columns(samples, support_idx, kernel))
+    columns = kernel_columns(samples, support_idx, kernel)
+    return _assemble(samples, support_idx, columns, _loewner_rows(samples, support_idx, columns))
 
 
-def _assemble(samples: SampleSet, support_idx, columns) -> LeastSquaresSystem:
-    """The one Loewner assembly: (F_k - f_j) * columns[k, j] over the
-    non-support rows k."""
-    support_idx = np.asarray(support_idx, dtype=int)
-    active = np.ones(samples.size, dtype=bool)
-    active[support_idx] = False
-    rows = np.flatnonzero(active)
-    fj = samples.values[support_idx]
-    F = samples.values[rows]
-    C = columns[rows]
-    A = (F[:, None] - fj[None, :]) * C
-    return LeastSquaresSystem(A, rows, F, fj, C)
+def _loewner_rows(samples: SampleSet, support_idx, columns) -> np.ndarray:
+    """Row j is (F_k - f_j) * columns[k, j] over all M samples k; the entries
+    at support rows, 0 * kernel(0) among them, are never gathered."""
+    fj = samples.values[np.asarray(support_idx, dtype=int)]
+    with np.errstate(invalid="ignore"):
+        return (samples.values[None, :] - fj[:, None]) * columns.T
+
+
+def _assemble(samples: SampleSet, support_idx, columns, lrows) -> LeastSquaresSystem:
+    """The one Loewner assembly: the non-support columns k of the Loewner
+    rows ``lrows`` (see :func:`_loewner_rows`), gathered into a fresh
+    F-contiguous matrix, and the kernel block columns[k] for the residual."""
+    rows = np.delete(np.arange(samples.size), support_idx)
+    A = np.take(lrows, rows, axis=1).T
+    return LeastSquaresSystem(A, rows, samples.values[rows], samples.values[support_idx],
+                              columns[rows])
 
 
 def assemble_loewner(samples: SampleSet, support_idx, parity: Parity) -> LeastSquaresSystem:
@@ -144,26 +150,25 @@ def _far_rows(target: FarField | None, parity: Parity):
     return None if target is None else partial(_far_field_rows, target, parity)
 
 
-def solve_weights(samples: SampleSet, support_idx, columns, far_rows=None):
+def solve_weights(samples: SampleSet, support_idx, columns, lrows, far_rows=None):
     """One weight solve on the Loewner system of a support.
 
-    ``columns`` holds the kernel values kernel(Z_k - z_j) over all M samples
-    (row k) for each support point (column j); :func:`_assemble` builds the
-    system A from them.  The weights minimise ||A w|| with ||w|| = 1 subject
-    to C w = 0, held to rounding by
-    :func:`~aaatrig.numerics.constrained_min_singular_direction`.  C is
-    ``far_rows(z_j, f_j)`` (one row for even parity, two for odd), or has no
-    rows when ``far_rows`` is None, and then the weights are those of
-    :func:`~aaatrig.numerics.min_singular_direction` bit for bit.  While the
-    order m is at most the rank r of C, only w = 0 satisfies the
-    constraint, so those first steps solve without it.  Returns the weights,
-    the active (non-support) rows and the absolute residuals of the
-    rational there.
+    :func:`_assemble` gathers the system A from the support's kernel columns
+    and Loewner rows.  The weights minimise ||A w|| with ||w|| = 1 subject to
+    C w = 0, held to rounding by
+    :func:`~aaatrig.numerics.constrained_min_singular_direction`, which
+    factors A in place.  C is ``far_rows(z_j, f_j)`` (one row for even
+    parity, two for odd), or has no rows when ``far_rows`` is None, and then
+    the weights are those of :func:`~aaatrig.numerics.min_singular_direction`
+    bit for bit.  While the order m is at most the rank r of C, only w = 0
+    satisfies the constraint, so those first steps solve without it.
+    Returns the weights, the active (non-support) rows and the absolute
+    residuals of the rational there.
     """
-    system = _assemble(samples, support_idx, columns)
+    system = _assemble(samples, support_idx, columns, lrows)
     zj = samples.points[np.asarray(support_idx, dtype=int)]
     rows = np.zeros((0, len(zj))) if far_rows is None else far_rows(zj, system.s_f)
-    weights = constrained_min_singular_direction(system.matrix, rows)
+    weights = constrained_min_singular_direction(system.matrix, rows, overwrite_a=True)
     C = system.cauchy
     with np.errstate(divide="ignore", invalid="ignore"):
         r = (C @ (weights * system.s_f)) / (C @ weights)
@@ -183,9 +188,9 @@ def greedy(samples: SampleSet, kernel, rel_tol: float, max_order: int, far_rows=
     Each step adds the sample with the largest residual to the support and
     re-solves, until the max residual over the remaining samples drops below
     rel_tol * max|f| or an order cap is hit (max_order or half the sample
-    count).  The kernel columns of earlier support points are kept from step
-    to step, so a step evaluates the kernel only for the new point's column
-    (M calls); the column buffer doubles as the order grows, so memory is
+    count).  The kernel columns and Loewner rows of earlier support points
+    are kept from step to step, so a step forms them only for the new point
+    (M entries each); both buffers double as the order grows, so memory is
     O(M*m) in the order m reached.  Returns (support indices, weights,
     err_history, scale, converged) of the last step.
     """
@@ -202,16 +207,20 @@ def greedy(samples: SampleSet, kernel, rel_tol: float, max_order: int, far_rows=
     weights = None
     cap = min(max_order, M // 2)
     columns = np.empty((M, 0), dtype=complex)
+    lrows = np.empty((0, M), dtype=complex)
     for m in range(1, cap + 1):
         pick = int(np.argmax(np.where(active, resid, -1.0)))
         support.append(pick)
         active[pick] = False
-        if m > columns.shape[1]:
-            grown = np.empty((M, min(2 * m, cap)), dtype=complex)
-            grown[:, : m - 1] = columns[:, : m - 1]
-            columns = grown
-        columns[:, m - 1] = kernel_columns(samples, [pick], kernel)[:, 0]
-        weights, rows, res = solve_weights(samples, support, columns[:, :m], far_rows)
+        if m > len(lrows):
+            size = min(2 * m, cap)
+            grown, grown_rows = np.empty((M, size), complex), np.empty((size, M), complex)
+            grown[:, : m - 1], grown_rows[: m - 1] = columns[:, : m - 1], lrows[: m - 1]
+            columns, lrows = grown, grown_rows
+        column = kernel_columns(samples, [pick], kernel)
+        columns[:, m - 1] = column[:, 0]
+        lrows[m - 1] = _loewner_rows(samples, [pick], column)[0]
+        weights, rows, res = solve_weights(samples, support, columns[:, :m], lrows[:m], far_rows)
         resid[rows] = np.where(np.isfinite(res), res, np.inf)
         err_history.append(float(np.max(resid[rows])))
         if err_history[-1] <= rel_tol * scale:
@@ -296,9 +305,9 @@ def _cleanup(model: TrigModel, samples: SampleSet, config: FitConfig, support_id
         support_idx = _support_sample_indices(model, samples)
     support_idx = support_idx[keep]
     columns = kernel_columns(samples, support_idx, _trig_kernel(model.parity))
+    lrows = _loewner_rows(samples, support_idx, columns)
     weights, _, res = solve_weights(
-        samples, support_idx, columns, _far_rows(config.far_field, model.parity)
-    )
+        samples, support_idx, columns, lrows, _far_rows(config.far_field, model.parity))
     err = float(np.max(res))
     return TrigModel(
         model.parity,

@@ -9,9 +9,10 @@ import scipy.linalg
 from aaatrig.trigbary import Parity, TrigModel, TWO_PI, evaluate_batch, strip_distance
 
 
-def thin_svd_direction(A):
+def thin_svd_direction(A, overwrite_a=False):
     """Reference weight solve: the last right singular vector of the thin SVD,
-    phase-fixed as in aaatrig.numerics.min_singular_direction."""
+    phase-fixed as in aaatrig.numerics.min_singular_direction.  It never
+    writes to A, which is correct whatever ``overwrite_a`` says."""
     _, _, vh = np.linalg.svd(np.asarray(A, dtype=complex), full_matrices=False)
     return _unit_phase(vh[-1].conj())
 

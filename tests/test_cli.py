@@ -241,6 +241,26 @@ class TestCommands:
         ff = far_field(cleaned)
         assert max(abs(ff.f_plus), abs(ff.f_minus)) <= 1e-7
 
+    def test_clean_judges_converged_by_rel_tol(self, tmp_path):
+        # Fitted to 1e-11, this model's cleanup re-solve lands at 2.8e-12:
+        # converged against the fit's tolerance, not against the default.
+        xs = TWO_PI * np.arange(1000) / 1000
+        data = tmp_path / "s.csv"
+        write_csv(data, [(x, 0.0, np.tanh(60.0 * np.cos(x)), 0.0) for x in xs])
+        out = tmp_path / "f"
+        assert main(["fit", "--data", str(data), "--tol", "1e-11", "--no-cleanup",
+                     "--out", str(out)]) == 0
+        assert read_model(str(out) + ".model.json").converged
+        cleaned = {}
+        for name, extra in (("default", []), ("fit-tol", ["--rel-tol", "1e-11"])):
+            assert main(["clean", "--model", str(out) + ".model.json", "--data", str(data),
+                         *extra, "--out", str(tmp_path / name)]) == 0
+            cleaned[name] = read_model(str(tmp_path / name) + ".model.json")
+        err = cleaned["default"].err_history[-1]
+        assert 1e-13 < err <= 1e-11
+        assert not cleaned["default"].converged
+        assert cleaned["fit-tol"].converged
+
     def test_compare_fft_small(self, tmp_path):
         out = tmp_path / "cf"
         assert main(["compare-fft", "--n", "200", "--mmax", "12", "--out", str(out)]) == 0
@@ -295,11 +315,12 @@ class TestCommands:
         assert len(err) == 1 and err[0].startswith("aaatrig: error: ")
         assert message in err[0]
 
-    @pytest.mark.parametrize("command", ["fit", "clean"])
+    @pytest.mark.parametrize("command", ["fit", "clean", "clean --rel-tol"])
     def test_nan_tolerance_rejected(self, tmp_path, capsys, command):
         data = tmp_path / "c.csv"
         constant_csv(data)
-        argv = [command, "--data", str(data), "--tol", "nan", "--out", str(tmp_path / "x")]
+        command, _, flag = command.partition(" ")
+        argv = [command, "--data", str(data), flag or "--tol", "nan", "--out", str(tmp_path / "x")]
         if command == "clean":
             mp = tmp_path / "m.json"
             write_model(str(mp), TrigModel.build(Parity.ODD, [0.0, np.pi], [1.0, -1.0], [1.0, 1.0]))

@@ -92,6 +92,31 @@ class TestMinSingularDirection:
         assert np.array_equal(w, thin_svd_direction(before))
 
 
+    def test_overwrite_a_factors_in_place(self):
+        A = np.asfortranarray(random_complex(np.random.default_rng(16), 40, 6))
+        before = A.copy()
+        w = min_singular_direction(A, overwrite_a=True)
+        assert np.array_equal(w, min_singular_direction(before))
+        assert not np.array_equal(A, before)
+
+    @pytest.mark.parametrize("kind", ["c-complex", "real"])
+    def test_overwrite_a_copies_other_input(self, kind):
+        rng = np.random.default_rng(17)
+        A = {"c-complex": random_complex(rng, 30, 4), "real": rng.standard_normal((30, 4))}[kind]
+        before = A.copy()
+        w = min_singular_direction(A, overwrite_a=True)
+        assert np.array_equal(A, before)
+        assert np.array_equal(w, min_singular_direction(before))
+
+    @pytest.mark.parametrize("overwrite_a", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+    def test_non_finite_rejected_in_both_modes(self, overwrite_a, bad):
+        A = np.asfortranarray(random_complex(np.random.default_rng(18), 10, 3))
+        A[4, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            min_singular_direction(A, overwrite_a=overwrite_a)
+
+
 class TestConstrainedMinSingularDirection:
     @pytest.mark.parametrize("k", [1, 2])
     def test_matches_null_space_reference(self, k):
@@ -119,6 +144,17 @@ class TestConstrainedMinSingularDirection:
         assert np.array_equal(constrained_min_singular_direction(A, np.zeros((0, 2))), free)
         # Two independent rows on two columns leave only w = 0.
         assert np.array_equal(constrained_min_singular_direction(A, random_complex(rng, 2, 2)), free)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_overwrite_a_passed_through(self, k):
+        # Without constraint rows A itself is factored in place; with them
+        # the solve factors its own product A Q and leaves A as it was.
+        rng = np.random.default_rng(19)
+        A, C = np.asfortranarray(random_complex(rng, 40, 5)), random_complex(rng, k, 5)
+        before = A.copy()
+        w = constrained_min_singular_direction(A, C, overwrite_a=True)
+        assert np.array_equal(w, constrained_min_singular_direction(before, C))
+        assert np.array_equal(A, before) == (k > 0)
 
     def test_non_finite_constraint(self):
         with pytest.raises(ValueError, match="non-finite"):
