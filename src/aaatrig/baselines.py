@@ -69,11 +69,12 @@ def evaluate_aaa(model: AaaModel, zs) -> np.ndarray:
                                                  0.0, model.fvals), zs, model.m)
 
 
-def fft_interpolant(samples: SampleSet, m: int | None = None) -> FourierInterpolant:
-    """DFT of samples on the uniform grid 2*pi*n/M, truncated at order m.
+def fft_interpolant(samples: SampleSet) -> FourierInterpolant:
+    """DFT of samples on the uniform grid 2*pi*n/M, at the full order floor(M/2).
 
     The samples may arrive in any order but must sit exactly on the grid
-    (checked to 1e-12).  m defaults to the full order floor(M/2).
+    (checked to 1e-12).  The order-m truncation of the result is
+    ``FourierInterpolant(coefficients, m, M)``.
     """
     M = samples.size
     order_idx = np.argsort(samples.points.real)
@@ -82,13 +83,7 @@ def fft_interpolant(samples: SampleSet, m: int | None = None) -> FourierInterpol
     grid = TWO_PI * np.arange(M) / M
     if np.any(np.abs(pts - grid) > 1e-12):
         raise ValueError("FFT baseline requires uniform grid")
-    coeffs = np.fft.fft(vals) / M
-    full = M // 2
-    if m is None:
-        m = full
-    if not 0 <= m <= full:
-        raise ValueError("truncation order must lie in [0, M/2]")
-    return FourierInterpolant(coeffs, int(m), M)
+    return FourierInterpolant(np.fft.fft(vals) / M, M // 2, M)
 
 
 def evaluate_fourier(interp: FourierInterpolant, zs) -> np.ndarray:
@@ -106,13 +101,13 @@ def evaluate_fourier(interp: FourierInterpolant, zs) -> np.ndarray:
     return out.reshape(zs.shape)
 
 
-def rectangle_samples(func, n: int, seed: int, height: float = 0.5) -> SampleSet:
-    """Random samples of ``func`` in the rectangle [0, 2*pi] x [-i*h, i*h].
+def rectangle_samples(func, n: int, seed: int) -> SampleSet:
+    """Random samples of ``func`` in the rectangle [0, 2*pi] x [-i/2, i/2].
 
     Uses numpy's default PCG64 generator so runs are reproducible per seed.
     """
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.0, TWO_PI, n) + 1j * rng.uniform(-height, height, n)
+    pts = rng.uniform(0.0, TWO_PI, n) + 1j * rng.uniform(-0.5, 0.5, n)
     return SampleSet.from_data(pts, func(pts))
 
 

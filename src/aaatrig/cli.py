@@ -327,11 +327,9 @@ def cmd_compare_fft(args) -> int:
     f = np.tanh(60.0 * np.cos(x))
     samples = SampleSet.from_data(x.astype(complex), f.astype(complex))
     trig = solver.fit(samples, solver.FitConfig(rel_tol=args.tol, max_order=args.mmax, cleanup=False))
-    orders = np.arange(1, args.mmax + 1)
-    fft_errs = baselines.fft_least_squares_errors(samples, orders)
+    fft_errs = baselines.fft_least_squares_errors(samples, np.arange(1, args.mmax + 1))
     _write_errors(args.out + ".aaatrig.tsv", trig.err_history)
-    write_table(args.out + ".fft.tsv", ["m", "max_err"],
-                list(zip(orders.tolist(), fft_errs.tolist())))
+    _write_errors(args.out + ".fft.tsv", fft_errs)
     print(f"compare-fft: aaatrig m={trig.m} err={trig.err_history[-1]:.3e}")
     return 0
 

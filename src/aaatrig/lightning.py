@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import solver
-from .trigbary import Parity, SampleSet, TrigModel, TWO_PI, _cst_values
+from .trigbary import Parity, SampleSet, TrigModel, TWO_PI, _cst_values, by_blocks
 
 RADIUS = 0.5
 CENTER = np.pi
@@ -116,14 +116,13 @@ def boundary_points(n_total: int) -> np.ndarray:
 
 
 def _corner_ladder(per_corner: int, sigma_scale: float, oversample: int,
-                   length: float, stagger: float = 0.0) -> np.ndarray:
+                   stagger: float = 0.0) -> np.ndarray:
     """Arclength offsets interleaving the pole ladder at ``oversample`` density."""
     tau = (np.arange(1, oversample * per_corner + 1, dtype=float) - stagger) / oversample
-    return length * np.exp(-sigma_scale * (np.sqrt(per_corner) - np.sqrt(tau)))
+    return POLE_LENGTH_SCALE * np.exp(-sigma_scale * (np.sqrt(per_corner) - np.sqrt(tau)))
 
 
 def collocation_points(per_corner: int, sigma_scale: float,
-                       per_pole: int = COLLOCATION_PER_POLE,
                        oversample: int = 5, stagger: float = 0.0) -> np.ndarray:
     """Boundary collocation: corner ladders plus uniform mid-panel fill.
 
@@ -131,7 +130,7 @@ def collocation_points(per_corner: int, sigma_scale: float,
     matching the pole clustering depth at ``oversample`` points per pole;
     the remainder of the 30-per-pole budget covers the boundary uniformly.
     """
-    ladder = _corner_ladder(per_corner, sigma_scale, oversample, POLE_LENGTH_SCALE, stagger)
+    ladder = _corner_ladder(per_corner, sigma_scale, oversample, stagger)
     theta = ladder / RADIUS
     pieces = [
         CENTER + RADIUS * np.exp(1j * theta),             # arc, from right corner
@@ -139,7 +138,7 @@ def collocation_points(per_corner: int, sigma_scale: float,
         CENTER - RADIUS + ladder + 0j,                    # base, from left corner
         CENTER + RADIUS - ladder + 0j,                    # base, from right corner
     ]
-    target = per_pole * 2 * per_corner
+    target = COLLOCATION_PER_POLE * 2 * per_corner
     fill = max(target - sum(len(p) for p in pieces), 60)
     pieces.append(boundary_points(fill))
     return np.concatenate(pieces)
@@ -184,23 +183,23 @@ def _newman_block(z, poles) -> np.ndarray:
 
 
 def evaluate_lightning(model: LightningModel, z) -> np.ndarray:
-    """Evaluate the lightning expansion at arbitrary points."""
-    z = np.asarray(z, dtype=complex)
-    flat = np.atleast_1d(z).ravel()
-    vals = _newman_block(flat, model.newman_poles) @ model.newman_coeffs
-    W = _arnoldi_eval(_runge_coordinate(flat, model.runge_center), model.arnoldi_hessenberg)
-    vals = vals + W @ model.runge_coeffs
-    return vals.reshape(z.shape)
+    """Evaluate the lightning expansion elementwise, by blocks of z as given."""
+
+    def block(zb):
+        vals = _newman_block(zb, model.newman_poles) @ model.newman_coeffs
+        W = _arnoldi_eval(_runge_coordinate(zb, model.runge_center), model.arnoldi_hessenberg)
+        return vals + W @ model.runge_coeffs
+    return by_blocks(block, z, model.n_newman + model.n_runge + 1)
 
 
-def solve_dirichlet(boundary, poles, n_runge: int,
-                    runge_center: complex = RUNGE_CENTER) -> LightningModel:
+def solve_dirichlet(boundary, poles, n_runge: int) -> LightningModel:
     """Least-squares solve of Im[f(z)] = target on the boundary.
 
     ``boundary`` is a sequence of (point, target) pairs with real targets.
     Columns are the cotangent pole terms and the Arnoldi-orthogonalized
-    tangent powers; the real part of the constant coefficient is gauge and
-    is pinned to zero.  Column norms are equilibrated before the solve.
+    powers of tan((z - RUNGE_CENTER)/2); the real part of the constant
+    coefficient is gauge and is pinned to zero.  Column norms are
+    equilibrated before the solve.
     """
     pts = np.asarray([p for p, _ in boundary], dtype=complex)
     rhs = np.asarray([v for _, v in boundary], dtype=float)
@@ -210,7 +209,7 @@ def solve_dirichlet(boundary, poles, n_runge: int,
         raise ValueError("not enough collocation points")
 
     newman = _newman_block(pts, poles)
-    t = _runge_coordinate(pts, runge_center)
+    t = _runge_coordinate(pts, RUNGE_CENTER)
     Q, H = _arnoldi_basis(t, n_runge)
     basis = np.hstack([newman, Q])
 
@@ -234,7 +233,7 @@ def solve_dirichlet(boundary, poles, n_runge: int,
     full = np.zeros(2 * (n1 + n_runge + 1))
     full[keep] = sol
     coefs = full[: n1 + n_runge + 1] + 1j * full[n1 + n_runge + 1 :]
-    model = LightningModel(poles, coefs[:n1], complex(runge_center), coefs[n1:], H)
+    model = LightningModel(poles, coefs[:n1], complex(RUNGE_CENTER), coefs[n1:], H)
     resid = float(np.max(np.abs(evaluate_lightning(model, pts).imag - rhs)))
     return replace(model, boundary_residual=resid)
 
@@ -256,31 +255,29 @@ def solve_flow_demo(per_corner: int = 61, sigma_scale: float = 4.0,
     return replace(model, boundary_residual=resid)
 
 
-def compress(model: LightningModel, n_samples: int = 1000,
-             rel_tol: float | None = None) -> TrigModel:
+def compress(model: LightningModel) -> TrigModel:
     """Compress the lightning solution into a trigonometric rational.
 
-    The expansion is evaluated at boundary samples and refitted with the
-    odd-parity greedy solver; the default tolerance tracks the achieved
-    boundary residual so the compression does not chase noise.
+    The expansion is evaluated at 1000 boundary points and refitted with
+    the odd-parity greedy solver; the tolerance, twice the achieved boundary
+    residual relative to the data scale (at least 1e-10), tracks the
+    residual so the compression does not chase noise.
     """
-    pts = boundary_points(n_samples)
+    pts = boundary_points(1000)
     vals = evaluate_lightning(model, pts)
     samples = SampleSet.from_data(pts, vals)
     scale = float(np.max(np.abs(vals)))
-    if rel_tol is None:
-        floor = 1e-10
-        rel_tol = max(2.0 * model.boundary_residual / max(scale, 1e-300), floor)
+    rel_tol = max(2.0 * model.boundary_residual / max(scale, 1e-300), 1e-10)
     config = solver.FitConfig(parity=Parity.ODD, rel_tol=rel_tol, max_order=60)
     return solver.fit(samples, config)
 
 
-def interior_grid(n_points: int = 200) -> np.ndarray:
-    """Deterministic points in the flow domain, clear of the obstacle."""
+def interior_grid() -> np.ndarray:
+    """200 deterministic points in the flow domain, clear of the obstacle."""
     xs = np.linspace(0.12, TWO_PI - 0.12, 25)
     ys = np.linspace(-1.1, 1.5, 14)
     zz = (xs[:, None] + 1j * ys[None, :]).ravel()
     clear = np.abs(zz - CENTER) > RADIUS + 0.15
     below = zz.imag < -0.15
     keep = zz[clear | below]
-    return keep[:n_points]
+    return keep[:200]

@@ -235,19 +235,21 @@ def partial_fractions(model: TrigModel) -> PartialFractions:
     coefficients sum to zero and c is the common far-field value.  The
     conversion is numerically reliable only for well-separated poles; the
     ``clustered`` flag is set when any two poles are closer than 1e-6.
+    Only the pole pencil is built: the poles are those of
+    :func:`poles_and_zeros`, without its zeros.
     """
     if model.m == 1:
         return PartialFractions(
             np.zeros(0, dtype=complex), np.zeros(0, dtype=complex), complex(model.fvals[0])
         )
-    report = poles_and_zeros(model)
-    q = residues(model, report.poles) / 2.0
+    poles = _roots(model, use_numerator=False)
+    q = residues(model, poles) / 2.0
     clustered = False
-    if len(report.poles) > 1:
-        d = strip_distance(report.poles[:, None], report.poles[None, :])
+    if len(poles) > 1:
+        d = strip_distance(poles[:, None], poles[None, :])
         d[np.eye(len(d), dtype=bool)] = np.inf
         clustered = bool(np.min(d) < 1e-6)
-    return PartialFractions(report.poles, q, report.constant, clustered)
+    return PartialFractions(poles, q, _pf_constant(model), clustered)
 
 
 def partial_fraction_eval(pf: PartialFractions, z) -> np.ndarray:

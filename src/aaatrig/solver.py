@@ -233,9 +233,9 @@ def fit(samples: SampleSet, config: FitConfig = FitConfig()) -> TrigModel:
 
     Runs :func:`greedy` on the trigonometric Loewner system, under the
     far-field constraint when config.far_field is set.  Returns the model
-    from the last iteration, cleaned up when config.cleanup is set;
-    ``converged`` is False when the caps ended the loop first, or when
-    cleanup's re-solve misses the tolerance.
+    from the last iteration, passed through :func:`cleanup` when
+    config.cleanup is set; ``converged`` is False when the caps ended the
+    loop first, or when cleanup's re-solve misses the tolerance.
     """
     support, weights, history, scale, converged = greedy(
         samples,
@@ -254,7 +254,7 @@ def fit(samples: SampleSet, config: FitConfig = FitConfig()) -> TrigModel:
         converged=converged,
     )
     if config.cleanup:
-        model = _cleanup(model, samples, config, np.asarray(support))
+        model = cleanup(model, samples, config)
     return model
 
 
@@ -270,12 +270,6 @@ def cleanup(model: TrigModel, samples: SampleSet, config: FitConfig) -> TrigMode
     among the samples by :func:`_support_sample_indices`, since a model (one
     read from a file, say) carries no sample indices.
     """
-    return _cleanup(model, samples, config, None)
-
-
-def _cleanup(model: TrigModel, samples: SampleSet, config: FitConfig, support_idx) -> TrigModel:
-    """:func:`cleanup` with the support's sample indices, or None to look
-    them up; :func:`fit` passes the greedy's."""
     if model.m < 2:
         return model
     poles = polezero._roots(model, use_numerator=False)
@@ -301,9 +295,7 @@ def _cleanup(model: TrigModel, samples: SampleSet, config: FitConfig, support_id
     if len(keep) == 0:
         return replace(model, cleanup_warning=True)
 
-    if support_idx is None:
-        support_idx = _support_sample_indices(model, samples)
-    support_idx = support_idx[keep]
+    support_idx = _support_sample_indices(model, samples)[keep]
     columns = kernel_columns(samples, support_idx, _trig_kernel(model.parity))
     lrows = _loewner_rows(samples, support_idx, columns)
     weights, _, res = solve_weights(

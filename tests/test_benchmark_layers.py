@@ -60,3 +60,26 @@ def test_every_weight_solve_is_traced():
     solves = [s for s in tracer.spans if s[0] == "numerics.min_singular_direction"]
     assert len(model.err_history) > 1
     assert len(solves) == len(model.err_history)
+
+
+def test_fit_cleanup_is_traced_inside_the_fit():
+    # solver.cleanup.* counts a fit's own cleanup only while fit calls the
+    # public name the tracer wraps.
+    spans = _spans_module()
+    for name, _, _ in spans.LAYERS:
+        importlib.import_module(f"{spans.PACKAGE}.{name}")
+    solver = importlib.import_module(f"{spans.PACKAGE}.solver")
+    trigbary = importlib.import_module(f"{spans.PACKAGE}.trigbary")
+    x = trigbary.TWO_PI * np.arange(200) / 200
+    samples = trigbary.SampleSet.from_data(x, np.exp(np.sin(x)))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        solver.fit(samples, solver.FitConfig())
+    finally:
+        tracer.uninstall()
+    fits = [i for i, s in enumerate(tracer.spans) if s[0] == "solver.fit"]
+    cleanups = [s for s in tracer.spans if s[0] == "solver.cleanup"]
+    assert len(fits) == 1
+    assert len(cleanups) == 1
+    assert cleanups[0][3] == fits[0]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,47 @@ class TestSolve:
         pts = lt.boundary_points(10)
         with pytest.raises(ValueError, match="collocation"):
             lt.solve_dirichlet([(p, 0.0) for p in pts], poles, 6)
+
+
+class TestEvaluate:
+    @staticmethod
+    def _demo_sized_model():
+        # The demo's 122 Newman poles and 24 Runge terms, random coefficients.
+        rng = np.random.default_rng(5)
+        poles = lt.place_poles(lt.CORNERS, 61, 4.0)
+        t = lt._runge_coordinate(lt.boundary_points(400), lt.RUNGE_CENTER)
+        _, H = lt._arnoldi_basis(t, 24)
+        return lt.LightningModel(
+            poles, rng.standard_normal(122) + 1j * rng.standard_normal(122),
+            complex(lt.RUNGE_CENTER), rng.standard_normal(25) + 1j * rng.standard_normal(25), H)
+
+    @staticmethod
+    def _points(rng, n):
+        return rng.uniform(0, TWO_PI, n) + 1j * rng.uniform(-1.5, -0.2, n)
+
+    @pytest.mark.parametrize("n", [200, 1000, 5000])
+    def test_blocks_match_the_whole_array(self, n):
+        model = self._demo_sized_model()
+        z = self._points(np.random.default_rng(n), n)
+        whole = (lt._newman_block(z, model.newman_poles) @ model.newman_coeffs
+                 + lt._arnoldi_eval(lt._runge_coordinate(z, model.runge_center),
+                                    model.arnoldi_hessenberg) @ model.runge_coeffs)
+        assert np.array_equal(lt.evaluate_lightning(model, z), whole)
+        shaped = lt.evaluate_lightning(model, z[:200].reshape(10, 20))
+        assert np.array_equal(shaped, whole[:200].reshape(10, 20))
+
+    def test_memory_bounded(self):
+        # One 50000 x 147 temporary would take 118 MB; blocks of
+        # EVAL_CELLS cells keep each at 1 MiB.
+        model = self._demo_sized_model()
+        z = self._points(np.random.default_rng(6), 50_000)
+        tracemalloc.start()
+        try:
+            lt.evaluate_lightning(model, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestCompress:

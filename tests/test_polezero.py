@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from aaatrig import numerics
 from aaatrig.polezero import (
     PartialFractions,
     _zeta_sum,
@@ -296,6 +297,27 @@ class TestPartialFractions:
         assert abs(q[1] + 0.5) < 1e-10
         assert abs(np.sum(pf.coefficients)) < 1e-10
         assert abs(pf.constant) < 1e-12
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_one_pencil_with_the_report_poles(self, monkeypatch, parity):
+        # Only the pole pencil is built; poles, coefficients and constant
+        # are those of poles_and_zeros and residues bit for bit.
+        x = TWO_PI * np.arange(1000) / 1000
+        model = fit(SampleSet.from_data(x, np.tanh(60 * np.cos(x))), FitConfig(parity=parity))
+        report = poles_and_zeros(model)
+        eig, calls = numerics.generalized_eig, []
+
+        def counted(A, B):
+            calls.append(A.shape)
+            return eig(A, B)
+
+        monkeypatch.setattr(numerics, "generalized_eig", counted)
+        pf = partial_fractions(model)
+        assert len(calls) == 1
+        assert len(pf.poles) > 0
+        assert pf.poles.tobytes() == report.poles.tobytes()
+        assert pf.coefficients.tobytes() == (residues(model, report.poles) / 2.0).tobytes()
+        assert np.complex128(pf.constant).tobytes() == np.complex128(report.constant).tobytes()
 
     def test_constant_model(self):
         pf = partial_fractions(TrigModel.build(Parity.ODD, [1.0], [4.0 - 2j], [1.0]))

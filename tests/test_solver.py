@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -460,6 +461,25 @@ class TestCleanup:
             got = far_field(cleaned)
             assert abs(got.f_plus - target.f_plus) <= 1e-6 * (1 + abs(target.f_plus))
             assert abs(got.f_minus - target.f_minus) <= 1e-6 * (1 + abs(target.f_minus))
+
+    @pytest.mark.parametrize("parity, target", [
+        (Parity.ODD, None),
+        (Parity.EVEN, None),
+        (Parity.ODD, FarField(0.0, 0.0)),
+    ], ids=["odd", "even", "odd-far-field"])
+    def test_fit_runs_the_public_cleanup(self, parity, target):
+        # cleanup locates the support among the samples itself; on distinct
+        # samples that finds the greedy's own indices.
+        x = TWO_PI * np.arange(1000) / 1000
+        ss = SampleSet.from_data(x, np.tanh(60 * np.cos(x)))
+        config = FitConfig(parity=parity, far_field=target)
+        raw = fit(ss, replace(config, cleanup=False))
+        fitted = fit(ss, config)
+        cleaned = cleanup(raw, ss, config)
+        assert fitted.m < raw.m
+        for field in ("support", "weights", "err_history"):
+            assert getattr(fitted, field).tobytes() == getattr(cleaned, field).tobytes(), field
+        assert fitted.converged == cleaned.converged
 
     def test_converged_means_within_tolerance(self):
         # Even parity with a sample 2e-6 from pi: the raw fit converges at
