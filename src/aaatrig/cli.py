@@ -130,8 +130,9 @@ def write_table(path: str, header: list[str], rows) -> None:
 CSV_COLUMNS = ["re_z", "im_z", "re_f", "im_f"]
 
 
-def ingest(path: str, fmt: str = "csv") -> SampleSet:
-    """Load samples from CSV (header re_z,im_z,re_f,im_f) or JSON."""
+def ingest(path: str, fmt: str = "csv", period: float = TWO_PI) -> SampleSet:
+    """Load samples from CSV (header re_z,im_z,re_f,im_f) or JSON, the points rescaled
+    from ``period`` to 2*pi before projection onto the strip and the duplicate check."""
     if fmt == "csv":
         points, values = np.ascontiguousarray(_read_csv(path, CSV_COLUMNS, exact=True).T)
     elif fmt == "json":
@@ -144,7 +145,7 @@ def ingest(path: str, fmt: str = "csv") -> SampleSet:
     else:
         raise ValueError(f"unknown format {fmt!r}")
     try:
-        return SampleSet.from_data(points, values)
+        return SampleSet.from_data(_scale_in(points, period), values)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}")
 
@@ -162,36 +163,40 @@ def _read_csv(path: str, columns: list[str], exact: bool) -> np.ndarray:
     numbers (exact) or at least that many fields, of which the first are numbers."""
     k = len(columns)
     with open(path, newline="") as fh:
-        names = [h.strip() for h in next(csv.reader(fh), None) or ()]
-        if (names if exact else names[:k]) != columns:
-            raise ValueError(f"{path}: expected header {','.join(columns)}")
-        # loadtxt parses every field, so it succeeds only on lines of one
-        # count of plain numbers, which split the same way under the csv
-        # rules.  Viewing (x, y) pairs keeps 1.0,inf as 1+infj (x + 1j*y: nan+infj).
+        reader = csv.reader(fh)
         try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
-        except ValueError:
-            table = np.empty((0, 0))
-        if table.shape[1] < k or (exact and table.shape[1] > k):
-            # The csv reader takes what loadtxt refuses (whitespace-only lines,
-            # quoted numbers, 1_0, text columns) and names a malformed line.
-            fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if exact and len(row) != k:
-                    raise ValueError(f"{path}: line {lineno}: expected {k} columns")
-                try:
-                    rows.append([float(row[i]) for i in range(k)])
-                except (ValueError, IndexError):
-                    what = "number" if exact else "point"
-                    raise ValueError(f"{path}: line {lineno}: malformed {what}")
-            table = np.asarray(rows, dtype=float).reshape(-1, k)
+            names = [h.strip() for h in next(reader, None) or ()]
+            if (names if exact else names[:k]) != columns:
+                raise ValueError(f"{path}: expected header {','.join(columns)}")
+            # loadtxt parses every field, so it succeeds only on lines of one
+            # count of plain numbers, which split the same way under the csv
+            # rules.  Viewing (x, y) pairs keeps 1.0,inf as 1+infj (x + 1j*y: nan+infj).
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    table = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+            except ValueError:
+                table = np.empty((0, 0))
+            if table.shape[1] < k or (exact and table.shape[1] > k):
+                # The csv reader takes what loadtxt refuses (whitespace-only lines,
+                # quoted numbers, 1_0, text columns) and names a malformed line.
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+                rows = []
+                for lineno, row in enumerate(reader, start=2):
+                    if not row or (len(row) == 1 and not row[0].strip()):
+                        continue
+                    if exact and len(row) != k:
+                        raise ValueError(f"{path}: line {lineno}: expected {k} columns")
+                    try:
+                        rows.append([float(row[i]) for i in range(k)])
+                    except (ValueError, IndexError):
+                        what = "number" if exact else "point"
+                        raise ValueError(f"{path}: line {lineno}: malformed {what}")
+                table = np.asarray(rows, dtype=float).reshape(-1, k)
+        except csv.Error as exc:  # a field longer than csv.field_size_limit(), say
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}")
     return np.ascontiguousarray(table[:, :k]).view(complex)
 
 
@@ -229,12 +234,9 @@ def _scale_in(points: np.ndarray, period: float) -> np.ndarray:
     return points * (TWO_PI / period)
 
 
-def _samples(args) -> SampleSet:
-    """Ingest --data, with points rescaled from --period to 2*pi."""
-    samples = ingest(args.data, args.format)
-    if args.period == TWO_PI:
-        return samples
-    return SampleSet.from_data(_scale_in(samples.points, args.period), samples.values)
+def _write_complex(path: str, header: list[str], a: np.ndarray, b: np.ndarray) -> None:
+    """A table of two complex columns, each as its real and imaginary parts."""
+    write_table(path, header, np.column_stack([a.real, a.imag, b.real, b.imag]))
 
 
 def _write_errors(path: str, err_history) -> None:
@@ -242,7 +244,7 @@ def _write_errors(path: str, err_history) -> None:
 
 
 def cmd_fit(args) -> int:
-    model = solver.fit(_samples(args), _fit_config(args))
+    model = solver.fit(ingest(args.data, args.format, args.period), _fit_config(args))
     write_model(args.out + ".model.json", model)
     _write_errors(args.out + ".errors.tsv", model.err_history)
     print(
@@ -256,11 +258,7 @@ def cmd_eval(args) -> int:
     model = read_model(args.model)
     pts = read_points(args.points, args.format)
     vals = evaluate_batch(model, _scale_in(pts, args.period))
-    write_table(
-        args.out + ".values.tsv",
-        ["re_z", "im_z", "re_f", "im_f"],
-        np.column_stack([pts.real, pts.imag, vals.real, vals.imag]),
-    )
+    _write_complex(args.out + ".values.tsv", CSV_COLUMNS, pts, vals)
     return 0
 
 
@@ -268,12 +266,8 @@ def cmd_poles(args) -> int:
     model = read_model(args.model)
     report = polezero.poles_and_zeros(model)
     factor = args.period / TWO_PI
-    poles, residues = report.poles * factor, report.residues * factor
-    write_table(
-        args.out + ".poles.tsv",
-        ["re_pole", "im_pole", "re_res", "im_res"],
-        np.column_stack([poles.real, poles.imag, residues.real, residues.imag]),
-    )
+    _write_complex(args.out + ".poles.tsv", ["re_pole", "im_pole", "re_res", "im_res"],
+                   report.poles * factor, report.residues * factor)
     write_model(args.out + ".model.json", model, report)
     print(f"poles: {len(report.poles)} zeros: {len(report.zeros)}")
     return 0
@@ -282,19 +276,18 @@ def cmd_poles(args) -> int:
 def cmd_diff(args) -> int:
     model = read_model(args.model)
     pts = read_points(args.points, args.format)
-    derivs = calculus.derivative_at(model, _scale_in(pts, args.period), args.order)
-    derivs = derivs * (TWO_PI / args.period) ** args.order
-    write_table(
-        args.out + ".derivs.tsv",
-        ["re_z", "im_z", "re_df", "im_df"],
-        np.column_stack([pts.real, pts.imag, derivs.real, derivs.imag]),
-    )
+    try:
+        factor = (TWO_PI / args.period) ** args.order
+    except OverflowError:
+        raise ValueError(f"--period {args.period!r} is too small for --order {args.order}")
+    derivs = calculus.derivative_at(model, _scale_in(pts, args.period), args.order) * factor
+    _write_complex(args.out + ".derivs.tsv", ["re_z", "im_z", "re_df", "im_df"], pts, derivs)
     return 0
 
 
 def cmd_clean(args) -> int:
     model = read_model(args.model)
-    samples = _samples(args)
+    samples = ingest(args.data, args.format, args.period)
     far = _parse_finf(args.finf, model.parity) if args.finf else None
     config = solver.FitConfig(parity=model.parity, rel_tol=args.rel_tol, cleanup_tol=args.tol,
                               far_field=far)
@@ -335,15 +328,11 @@ def cmd_compare_fft(args) -> int:
 
 
 def cmd_lightning_demo(args) -> int:
-    model = lightning.solve_flow_demo(args.per_corner, args.sigma, args.runge)
+    model = lightning.solve_flow_demo(args.per_corner, args.runge)
     compressed = lightning.compress(model)
     grid = lightning.interior_grid()
     vals = lightning.evaluate_lightning(model, grid)
-    write_table(
-        args.out + ".field.tsv",
-        ["re_z", "im_z", "re_f", "im_f"],
-        np.column_stack([grid.real, grid.imag, vals.real, vals.imag]),
-    )
+    _write_complex(args.out + ".field.tsv", CSV_COLUMNS, grid, vals)
     report = polezero.poles_and_zeros(compressed)
     write_model(args.out + ".compressed.model.json", compressed, report)
     print(
@@ -437,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lightning-demo", help="periodic flow demo with compression")
     _add_common(p)
     p.add_argument("--per-corner", type=int, default=61)
-    p.add_argument("--sigma", type=float, default=4.0)
     p.add_argument("--runge", type=int, default=24)
     p.set_defaults(func=cmd_lightning_demo)
 

@@ -91,16 +91,6 @@ def transform(model: TrigModel) -> TransformedBarycentric:
     return TransformedBarycentric(zeta, a, f, complex(np.sum(f * c)), complex(np.sum(c)))
 
 
-def _eigen_candidates(tb: TransformedBarycentric, use_numerator: bool) -> np.ndarray:
-    """Finite eigenvalues of the pole (denominator) or zero (numerator) pencil."""
-    payload = tb.shifted_weights
-    if use_numerator:
-        payload = tb.fvals * payload
-    head = tb.head_num if use_numerator else tb.head_den
-    result = generalized_eig_arrow(arrowhead_matrix(head, payload, tb.shifted_support))
-    return result.finite_eigenvalues
-
-
 def _zeta_sum(model: TrigModel, lam: np.ndarray, coeff: np.ndarray):
     """S(lambda) = sum_j (a_j/(lambda - zeta_j) + c_j) and its lambda-derivative
     -sum_j a_j/(lambda - zeta_j)^2 at each point of lam, with the largest term
@@ -166,7 +156,13 @@ def _roots(model: TrigModel, use_numerator: bool) -> np.ndarray:
     not strip points.  The rest are polished and checked in lambda, and only
     the verified ones are mapped back to z.
     """
-    lam = _eigen_candidates(transform(model), use_numerator)
+    tb = transform(model)
+    if use_numerator:
+        head, payload = tb.head_num, tb.fvals * tb.shifted_weights
+    else:
+        head, payload = tb.head_den, tb.shifted_weights
+    pencil = arrowhead_matrix(head, payload, tb.shifted_support)
+    lam = generalized_eig_arrow(pencil).finite_eigenvalues
     lam = lam[(np.abs(lam) > 1e-13) & (np.abs(lam) < 1e13)]
     coeff = model.weights * (model.fvals if use_numerator else 1.0)
     lam = _polished(model, lam, coeff)

@@ -273,11 +273,9 @@ def cleanup(model: TrigModel, samples: SampleSet, config: FitConfig) -> TrigMode
     if model.m < 2:
         return model
     poles = polezero._roots(model, use_numerator=False)
-    if len(poles) == 0:
-        return model
+    # No pole, or a non-finite residue, marks nothing: the comparison is False.
     res = polezero._residues_unchecked(model, poles)
-    mags = np.where(np.isfinite(res.real) & np.isfinite(res.imag), np.abs(res), np.inf)
-    small = mags < config.cleanup_tol * model.scale
+    small = np.abs(res) < config.cleanup_tol * model.scale
     if not np.any(small):
         return model
 

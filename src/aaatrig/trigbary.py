@@ -199,12 +199,14 @@ class TrigModel:
         w = np.atleast_1d(np.asarray(self.weights, dtype=complex))
         if not (len(sup) == len(fv) == len(w)) or len(sup) < 1:
             raise ValueError("support, fvals and weights must share length m >= 1")
+        if not all(np.all(np.isfinite(a)) for a in (sup, fv, w)):
+            raise ValueError("support, fvals and weights must be finite")
         if np.any(sup.real < 0.0) or np.any(sup.real >= TWO_PI):
             raise ValueError("support points must lie in the canonical strip")
         norm = np.linalg.norm(w)
         if norm == 0.0:
             raise ValueError("weights must not all vanish")
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError("weights must have unit Euclidean norm")
         hist = self.err_history
         hist = np.zeros(len(sup)) if hist is None else np.atleast_1d(np.asarray(hist, dtype=float))

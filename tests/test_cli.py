@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import aaatrig
-from aaatrig import baselines, polezero
+from aaatrig import baselines, polezero, solver
 from aaatrig.calculus import derivative_at
 from aaatrig.cli import (
     TABLE_BLOCK,
@@ -225,6 +225,43 @@ class TestCommands:
                      "--data", str(data), "--out", str(out2)]) == 0
         assert (tmp_path / "c.model.json").exists()
 
+    @pytest.mark.parametrize("period, start, n", [
+        (1.0, -0.5, 200), (10.0, 0.0, 200), (4 * np.pi, 0.0, 64), (100.0, 0.0, 200),
+    ])
+    def test_period_applied_before_projection(self, tmp_path, period, start, n):
+        # Points outside [0, 2*pi) in user units: rescaled first, then
+        # projected onto the strip and checked for duplicates.
+        def f(x):
+            return np.exp(np.sin(TWO_PI * x / period))
+        xs = start + period * np.arange(n) / n
+        data = tmp_path / "p.csv"
+        write_csv(data, [(x, 0.0, f(x), 0.0) for x in xs])
+        out = str(tmp_path / "per")
+        assert main(["fit", "--data", str(data), "--period", repr(period), "--out", out]) == 0
+        assert read_model(out + ".model.json").m <= 20
+        zs = start + period * np.random.default_rng(0).uniform(-1.0, 2.0, 50)
+        pts = tmp_path / "q.csv"
+        write_csv(pts, [(z, 0.0) for z in zs], header="re_z,im_z")
+        assert main(["eval", "--model", out + ".model.json", "--points", str(pts),
+                     "--period", repr(period), "--out", str(tmp_path / "v")]) == 0
+        rows = np.loadtxt(tmp_path / "v.values.tsv", skiprows=1)
+        assert np.max(np.abs(rows[:, 2] + 1j * rows[:, 3] - f(zs))) <= 1e-12
+
+    @pytest.mark.parametrize("period, start", [(1.0, -0.5), (10.0, 0.0)])
+    def test_clean_period_applied_before_projection(self, tmp_path, period, start):
+        xs = start + period * np.arange(200) / 200
+        fs = np.exp(np.sin(TWO_PI * xs / period))
+        data = tmp_path / "p.csv"
+        write_csv(data, [(x, 0.0, v, 0.0) for x, v in zip(xs, fs)])
+        samples = SampleSet.from_data(xs * (TWO_PI / period), fs)
+        raw = solver.fit(samples, solver.FitConfig(rel_tol=0.0, max_order=30, cleanup=False))
+        write_model(str(tmp_path / "raw.json"), raw)
+        assert main(["clean", "--model", str(tmp_path / "raw.json"), "--data", str(data),
+                     "--period", repr(period), "--out", str(tmp_path / "c")]) == 0
+        cleaned = read_model(str(tmp_path / "c.model.json"))
+        assert cleaned.m < raw.m
+        assert np.max(np.abs(evaluate_batch(cleaned, samples.points) - fs)) <= 1e-12
+
     def test_clean_holds_far_field(self, tmp_path):
         # Model files do not record --finf, so clean takes it again; cleaned
         # without it, this model's far field drifts to about -1.32 -+ 0.14i.
@@ -376,6 +413,60 @@ class TestCommands:
         assert exc.value.code == 2
         assert "--period" in capsys.readouterr().err
         assert not (tmp_path / "x.model.json").exists()
+
+    @pytest.mark.parametrize("command, where", [
+        ("fit", "header"), ("fit", "row"), ("eval", "header"), ("eval", "row"),
+    ])
+    def test_overlong_csv_field_is_one_error_line(self, tmp_path, capsys, command, where):
+        # A field beyond csv.field_size_limit() (131072 characters).
+        long = "x" * 200_000
+        path = tmp_path / "in.csv"
+        if command == "fit":
+            header, body = "re_z,im_z,re_f,im_f", "1.0,0.0,1.0,0.0\n2.0,0.0,1.0," + long
+            argv = ["fit", "--data", str(path)]
+        else:
+            header, body = "re_z,im_z", "0.5,0.0\n1.5,0.0," + long
+            write_model(str(tmp_path / "m.json"),
+                        TrigModel.build(Parity.ODD, [0.0, np.pi], [1.0, -1.0], [1.0, 1.0]))
+            argv = ["eval", "--model", str(tmp_path / "m.json"), "--points", str(path)]
+        if where == "header":
+            header = long + header
+        path.write_text(header + "\n" + body + "\n")
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("aaatrig: error: ")
+        line = "line 1" if where == "header" else "line 3"
+        assert str(path) in err[0] and line in err[0] and "field limit" in err[0]
+
+    def test_derivative_scale_overflow_is_one_error_line(self, tmp_path, capsys):
+        mp, pts = tmp_path / "m.json", tmp_path / "p.csv"
+        write_model(str(mp), TrigModel.build(Parity.ODD, [0.0, np.pi], [1.0, -1.0], [1.0, 1.0]))
+        # The point maps to 2*pi*i, clear of the support; the scale (2*pi*1e80)**4
+        # overflows.
+        pts.write_text("re_z,im_z\n0.0,1e-80\n")
+        assert main(["diff", "--model", str(mp), "--points", str(pts), "--period", "1e-80",
+                     "--order", "4", "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("aaatrig: error: ") and "--period" in err[0]
+        assert not (tmp_path / "d.derivs.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "diff", "poles"])
+    @pytest.mark.parametrize("field", ["support", "fvals", "weights"])
+    def test_non_finite_model_is_one_error_line(self, tmp_path, capsys, command, field):
+        doc = model_to_dict(TrigModel.build(Parity.ODD, [0.0, np.pi], [1.0, -1.0], [1.0, 1.0]))
+        doc[field][1][0] = float("nan")
+        mp, pts = tmp_path / "m.json", tmp_path / "p.csv"
+        mp.write_text(json.dumps(doc))
+        pts.write_text("re_z,im_z\n0.5,0.0\n")
+        argv = [command, "--model", str(mp), "--out", str(tmp_path / "o")]
+        if command != "poles":
+            argv += ["--points", str(pts)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("aaatrig: error: ") and "finite" in err[0]
+        assert list(tmp_path.glob("o.*")) == []
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
@@ -623,6 +714,20 @@ class TestModuleEntryPoint:
         assert main(["eval", "--model", mp, "--points", str(pts),
                      "--out", str(tmp_path / "ref")]) == 0
         assert (tmp_path / "e.values.tsv").read_bytes() == (tmp_path / "ref.values.tsv").read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--points", "long.csv"],
+        ["diff", "--points", "pts.csv", "--period", "1e-80", "--order", "4"],
+    ])
+    def test_cli_failure_is_one_error_line(self, tmp_path, argv):
+        (tmp_path / "pts.csv").write_text("re_z,im_z\n0.0,1e-80\n")
+        (tmp_path / "long.csv").write_text("re_z,im_z\n0.5,0.0," + "x" * 200_000 + "\n")
+        done = self.run([*argv, "--model", self.model_file(tmp_path), "--out", "o"], tmp_path)
+        assert done.returncode == 1
+        err = done.stderr.splitlines()
+        assert len(err) == 1, done.stderr
+        assert err[0].startswith("aaatrig: error: ")
+        assert "Traceback" not in done.stderr
 
     def test_malformed_points_is_one_error_line(self, tmp_path):
         mp = self.model_file(tmp_path)

@@ -86,6 +86,16 @@ class TestSolve:
         b = lt.evaluate_lightning(model, z + TWO_PI)
         assert np.max(np.abs(a - b)) <= 1e-10 * (1 + np.max(np.abs(a)))
 
+    def test_residual_is_the_solved_systems(self):
+        # The residual of the least-squares system agrees with the solved
+        # model evaluated at the collocation points, to rounding.
+        poles = lt.place_poles(lt.CORNERS, 12, lt.SIGMA_SCALE)
+        pts = lt.collocation_points(12, lt.SIGMA_SCALE)
+        target = lt.flow_targets(pts)
+        model = lt.solve_dirichlet(list(zip(pts, target)), poles, 10)
+        want = np.max(np.abs(lt.evaluate_lightning(model, pts).imag - target))
+        assert abs(model.boundary_residual - want) <= 1e-12 * want
+
     def test_not_enough_collocation(self):
         poles = lt.place_poles(lt.CORNERS, 8, 4.0)
         pts = lt.boundary_points(10)

@@ -410,6 +410,16 @@ class TestCleanup:
         cleaned = cleanup(model, ss, FitConfig())
         assert cleaned is model
 
+    def test_unchanged_without_poles(self):
+        # Odd, m = 2, shifted weights w_j e^{i z_j/2} summing to zero: the
+        # denominator is a multiple of 1/((zeta - zeta_1)(zeta - zeta_2)),
+        # so the pole pencil has no finite nonzero eigenvalue.
+        model = TrigModel.build(Parity.ODD, [0.0, np.pi], [1.0, 2.0], [-1j, 1.0])
+        assert len(poles_and_zeros(model).poles) == 0
+        pts = TWO_PI * np.arange(16) / 16
+        ss = SampleSet.from_data(pts, evaluate_batch(model, pts))
+        assert cleanup(model, ss, FitConfig()) is model
+
     @pytest.mark.parametrize("pin_far_field, offsets", [
         pytest.param(False, (1e-7,), id="False"),
         pytest.param(True, (1e-7,), id="True"),

@@ -358,6 +358,22 @@ class TestTrigModel:
             TrigModel(Parity.ODD, np.asarray([1.0 + 0j]), np.asarray([1.0 + 0j]),
                       np.asarray([2.0 + 0j]))
 
+    @pytest.mark.parametrize("field", ["support", "fvals", "weights"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_rejected(self, field, bad):
+        # NaN compares False, so it passes any check written as value > bound.
+        data = {"support": [1.0, 2.0], "fvals": [1.0, 2.0], "weights": [0.6, 0.8]}
+        data[field] = [data[field][0], bad]
+        arrays = {k: np.asarray(v, dtype=complex) for k, v in data.items()}
+        with pytest.raises(ValueError, match="finite"):
+            TrigModel(Parity.ODD, arrays["support"], arrays["fvals"], arrays["weights"])
+
+    def test_non_finite_err_history_allowed(self):
+        # A step that did not converge may record an infinite error.
+        model = TrigModel(Parity.ODD, np.asarray([1.0 + 0j]), np.asarray([1.0 + 0j]),
+                          np.asarray([1.0 + 0j]), err_history=[np.inf])
+        assert model.err_history[0] == np.inf
+
     def test_build_normalizes(self):
         model = TrigModel.build(Parity.ODD, [1.0, 2.0], [1.0, 2.0], [3.0, 4.0])
         assert abs(np.linalg.norm(model.weights) - 1.0) < 1e-14
