@@ -347,10 +347,11 @@ def cmd_lightning_demo(args) -> int:
 
 
 def _period(text: str) -> float:
-    """argparse type of --period: a finite positive float."""
+    """argparse type of --period: a finite positive float P with 2*pi/P finite."""
     period = float(text)
-    if not (np.isfinite(period) and period > 0.0):
-        raise argparse.ArgumentTypeError(f"period must be a finite positive number, got {text!r}")
+    if not (np.isfinite(period) and period > 0.0 and np.isfinite(TWO_PI / period)):
+        raise argparse.ArgumentTypeError(
+            f"period must be a finite positive number with finite 2*pi/period, got {text!r}")
     return period
 
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import solver
-from .trigbary import Parity, SampleSet, TrigModel, TWO_PI, _cst_values, by_blocks
+from .polezero import _cot_block
+from .trigbary import Parity, SampleSet, TrigModel, TWO_PI, by_blocks
 
 RADIUS = 0.5
 CENTER = np.pi
@@ -71,34 +72,26 @@ def inside_obstacle(z) -> np.ndarray:
     return (d < RADIUS) & (z.imag > 0.0)
 
 
-def place_poles(corners, per_corner: int, sigma_scale: float,
-                directions=None, length_scale: float = POLE_LENGTH_SCALE,
-                containment=inside_obstacle) -> np.ndarray:
+def place_poles(per_corner: int) -> np.ndarray:
     """Tapered pole clusters along the corners' interior bisectors.
 
     For each corner the k-th pole sits at distance
-    L * exp(-sigma_scale * (sqrt(n) - sqrt(k))), k = 1..n, so the cluster
-    tightens root-exponentially toward the corner.  Raises if any pole
-    lands outside the obstacle (i.e. inside the flow domain).
+    POLE_LENGTH_SCALE * exp(-SIGMA_SCALE * (sqrt(n) - sqrt(k))), k = 1..n,
+    so the cluster tightens root-exponentially toward the corner.  Raises
+    if any pole is not strictly inside the obstacle, which happens from
+    n = 94 on: the innermost pole comes within rounding of its corner.
     """
-    corners = np.atleast_1d(np.asarray(corners, dtype=complex))
     if per_corner < 1:
         raise ValueError("per_corner must be positive")
-    if directions is None:
-        directions = [CORNER_DIRECTIONS[_nearest_corner(c)] for c in corners]
     k = np.arange(1, per_corner + 1, dtype=float)
-    dists = length_scale * np.exp(-sigma_scale * (np.sqrt(per_corner) - np.sqrt(k)))
-    poles = np.concatenate([
-        c + np.asarray(direction) * dists
-        for c, direction in zip(corners, directions)
-    ])
-    if containment is not None and not np.all(containment(poles)):
-        raise ValueError("pole placed inside the flow domain")
+    dists = POLE_LENGTH_SCALE * np.exp(-SIGMA_SCALE * (np.sqrt(per_corner) - np.sqrt(k)))
+    poles = np.concatenate([c + d * dists for c, d in zip(CORNERS, CORNER_DIRECTIONS)])
+    if not np.all(inside_obstacle(poles)):
+        raise ValueError(
+            f"per_corner {per_corner} too large: the innermost pole comes within"
+            " rounding of its corner, outside the open obstacle"
+        )
     return poles
-
-
-def _nearest_corner(c: complex) -> int:
-    return int(np.argmin([abs(c - corner) for corner in CORNERS]))
 
 
 def boundary_points(n_total: int) -> np.ndarray:
@@ -116,22 +109,16 @@ def boundary_points(n_total: int) -> np.ndarray:
     return np.concatenate([arc, seg])
 
 
-def _corner_ladder(per_corner: int, sigma_scale: float, oversample: int,
-                   stagger: float = 0.0) -> np.ndarray:
-    """Arclength offsets interleaving the pole ladder at ``oversample`` density."""
-    tau = (np.arange(1, oversample * per_corner + 1, dtype=float) - stagger) / oversample
-    return POLE_LENGTH_SCALE * np.exp(-sigma_scale * (np.sqrt(per_corner) - np.sqrt(tau)))
-
-
-def collocation_points(per_corner: int, sigma_scale: float,
-                       oversample: int = 5, stagger: float = 0.0) -> np.ndarray:
+def collocation_points(per_corner: int, oversample: int = 5, stagger: float = 0.0) -> np.ndarray:
     """Boundary collocation: corner ladders plus uniform mid-panel fill.
 
     Each corner emits a tapered ladder along both adjacent boundary pieces,
     matching the pole clustering depth at ``oversample`` points per pole;
     the remainder of the 30-per-pole budget covers the boundary uniformly.
     """
-    ladder = _corner_ladder(per_corner, sigma_scale, oversample, stagger)
+    # Arclength offsets interleaving the pole ladder at ``oversample`` density.
+    tau = (np.arange(1, oversample * per_corner + 1, dtype=float) - stagger) / oversample
+    ladder = POLE_LENGTH_SCALE * np.exp(-SIGMA_SCALE * (np.sqrt(per_corner) - np.sqrt(tau)))
     theta = ladder / RADIUS
     pieces = [
         CENTER + RADIUS * np.exp(1j * theta),             # arc, from right corner
@@ -178,39 +165,34 @@ def _runge_coordinate(z, center) -> np.ndarray:
     return np.tan((np.asarray(z, dtype=complex) - center) / 2.0)
 
 
-def _newman_block(z, poles) -> np.ndarray:
-    u = (np.asarray(z, dtype=complex)[:, None] - poles[None, :]) / 2.0
-    return _cst_values(Parity.EVEN, u)
-
-
 def evaluate_lightning(model: LightningModel, z) -> np.ndarray:
     """Evaluate the lightning expansion elementwise, by blocks of z as given."""
 
     def block(zb):
-        vals = _newman_block(zb, model.newman_poles) @ model.newman_coeffs
         W = _arnoldi_eval(_runge_coordinate(zb, model.runge_center), model.arnoldi_hessenberg)
-        return vals + W @ model.runge_coeffs
+        return (np.einsum("ij,j->i", _cot_block(zb, model.newman_poles), model.newman_coeffs)
+                + np.einsum("ij,j->i", W, model.runge_coeffs))
     return by_blocks(block, z, model.n_newman + model.n_runge + 1)
 
 
-def solve_dirichlet(boundary, poles, n_runge: int) -> LightningModel:
-    """Least-squares solve of Im[f(z)] = target on the boundary.
+def solve_dirichlet(points, targets, poles, n_runge: int) -> LightningModel:
+    """Least-squares solve of Im[f(z)] = targets at the boundary points.
 
-    ``boundary`` is a sequence of (point, target) pairs with real targets.
+    ``targets`` are real, one per point.
     Columns are the cotangent pole terms and the Arnoldi-orthogonalized
     powers of tan((z - RUNGE_CENTER)/2); the real part of the constant
     coefficient is gauge and is pinned to zero.  Column norms are
     equilibrated before the solve.  ``boundary_residual`` is the max
     residual of that least-squares system at the collocation points.
     """
-    pts = np.asarray([p for p, _ in boundary], dtype=complex)
-    rhs = np.asarray([v for _, v in boundary], dtype=float)
+    pts = np.asarray(points, dtype=complex)
+    rhs = np.asarray(targets, dtype=float)
     poles = np.asarray(poles, dtype=complex)
     n1 = len(poles)
     if len(pts) < 2 * (n1 + n_runge + 1):
         raise ValueError("not enough collocation points")
 
-    newman = _newman_block(pts, poles)
+    newman = _cot_block(pts, poles)
     t = _runge_coordinate(pts, RUNGE_CENTER)
     Q, H = _arnoldi_basis(t, n_runge)
     basis = np.hstack([newman, Q])
@@ -245,11 +227,11 @@ def flow_targets(pts) -> np.ndarray:
 
 def solve_flow_demo(per_corner: int = 61, n_runge: int = 24) -> LightningModel:
     """Solve the periodic half-disk flow problem, poles tapered by SIGMA_SCALE."""
-    poles = place_poles(CORNERS, per_corner, SIGMA_SCALE)
-    pts = collocation_points(per_corner, SIGMA_SCALE)
-    model = solve_dirichlet(list(zip(pts, flow_targets(pts))), poles, n_runge)
+    poles = place_poles(per_corner)
+    pts = collocation_points(per_corner)
+    model = solve_dirichlet(pts, flow_targets(pts), poles, n_runge)
     # Residual reported on an independent (staggered + denser) boundary set.
-    check = collocation_points(per_corner, SIGMA_SCALE, oversample=7, stagger=0.41)
+    check = collocation_points(per_corner, oversample=7, stagger=0.41)
     resid = float(np.max(np.abs(evaluate_lightning(model, check).imag - flow_targets(check))))
     return replace(model, boundary_residual=resid)
 

@@ -255,9 +255,13 @@ def partial_fraction_eval(pf: PartialFractions, z) -> np.ndarray:
         return np.full(z.shape, pf.constant)
 
     def block(zb):
-        u = (zb[:, None] - pf.poles) / 2.0
-        return np.einsum("ij,j->i", _cst_values(Parity.EVEN, u), pf.coefficients) + pf.constant
+        return np.einsum("ij,j->i", _cot_block(zb, pf.poles), pf.coefficients) + pf.constant
     return by_blocks(block, z, len(pf.poles))
+
+
+def _cot_block(z: np.ndarray, poles: np.ndarray) -> np.ndarray:
+    """The matrix cot((z_i - p_k)/2) for a 1-D complex z."""
+    return _cst_values(Parity.EVEN, (z[:, None] - poles) / 2.0)
 
 
 def taper_fit(points, corner: complex, k_max: int) -> TaperFit:

@@ -162,11 +162,9 @@ class SampleSet:
 
 def _duplicate_indices(pts):
     order = np.lexsort((pts.imag, pts.real))
-    dup = []
-    for a, b in zip(order[:-1], order[1:]):
-        if pts[a] == pts[b]:
-            dup.append((min(a, b), max(a, b)))
-    return dup
+    a, b = order[:-1], order[1:]
+    same = pts[a] == pts[b]
+    return list(zip(np.minimum(a, b)[same], np.maximum(a, b)[same]))
 
 
 @dataclass(frozen=True)

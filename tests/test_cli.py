@@ -404,7 +404,7 @@ class TestCommands:
         assert main(["fit", "--data", str(data), "--out", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err.splitlines() == ["aaatrig: error: MemoryError"]
 
-    @pytest.mark.parametrize("period", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("period", ["-1", "0", "nan", "inf", "1e-310"])
     def test_bad_period_is_usage_error(self, tmp_path, capsys, period):
         data = tmp_path / "c.csv"
         constant_csv(data)

@@ -4,45 +4,44 @@ import numpy as np
 import pytest
 
 from aaatrig import lightning as lt
-from aaatrig.polezero import poles_and_zeros, taper_fit
+from aaatrig.polezero import _cot_block, poles_and_zeros, taper_fit
 from aaatrig.trigbary import TWO_PI, evaluate_batch
 
 
 class TestPlacePoles:
     def test_distance_law(self):
-        # n=4, L=1, sigma=-2: distances exp(-2(2-sqrt(k))).
-        poles = lt.place_poles(
-            [0.0], 4, 2.0, directions=[1.0], length_scale=1.0, containment=None
-        )
-        got = np.abs(poles)
-        want = np.exp(-2.0 * (2.0 - np.sqrt(np.arange(1, 5))))
-        assert np.allclose(got, want, rtol=1e-14)
-        assert abs(want[0] - 0.1353352832366127) < 1e-15
+        # n=4: distances 0.4 exp(-4(2-sqrt(k))) along each corner's bisector.
+        poles = lt.place_poles(4).reshape(2, 4)
+        want = 0.4 * np.exp(-4.0 * (2.0 - np.sqrt(np.arange(1, 5))))
+        for corner, direction, cluster in zip(lt.CORNERS, lt.CORNER_DIRECTIONS, poles):
+            assert np.allclose(cluster - corner, direction * want, rtol=1e-13, atol=0.0)
+        assert abs(want[0] - 0.4 * 0.01831563888873418) < 1e-16
 
     def test_single_pole_at_length_scale(self):
-        poles = lt.place_poles(
-            [1.0], 1, 2.0, directions=[1j], length_scale=0.7, containment=None
-        )
-        assert len(poles) == 1
-        assert abs(poles[0] - (1.0 + 0.7j)) < 1e-15
+        poles = lt.place_poles(1)
+        assert len(poles) == 2
+        for pole, corner, direction in zip(poles, lt.CORNERS, lt.CORNER_DIRECTIONS):
+            assert abs(pole - (corner + 0.4 * direction)) < 1e-15
 
     def test_taper_fit_recovers_sigma(self):
-        poles = lt.place_poles(
-            [2.0], 16, 3.0, directions=[np.exp(0.4j)], length_scale=0.9,
-            containment=None,
-        )
-        tf = taper_fit(poles, 2.0, k_max=16)
-        assert abs(tf.sigma + 3.0) < 1e-6
-        assert tf.r_squared > 1.0 - 1e-12
+        poles = lt.place_poles(16)
+        for corner in lt.CORNERS:
+            tf = taper_fit(poles, corner, k_max=16)
+            assert abs(tf.sigma + lt.SIGMA_SCALE) < 1e-6
+            assert tf.r_squared > 1.0 - 1e-12
 
-    def test_containment_enforced(self):
-        with pytest.raises(ValueError, match="inside the flow domain"):
-            lt.place_poles(lt.CORNERS, 4, 2.0, length_scale=5.0)
+    def test_per_corner_limit(self):
+        # From 94 on, the innermost pole 0.4 exp(-4(sqrt(n)-1)) comes within
+        # rounding of its corner, which is not strictly inside the obstacle.
+        assert len(lt.place_poles(93)) == 186
+        with pytest.raises(ValueError, match="per_corner 94 too large"):
+            lt.place_poles(94)
 
-    def test_demo_poles_inside_obstacle(self):
-        poles = lt.place_poles(lt.CORNERS, 30, 4.0)
+    @pytest.mark.parametrize("per_corner", [1, 12, 61, 93])
+    def test_demo_poles_inside_obstacle(self, per_corner):
+        poles = lt.place_poles(per_corner)
         assert np.all(lt.inside_obstacle(poles))
-        assert len(poles) == 60
+        assert len(poles) == 2 * per_corner
 
 
 class TestArnoldi:
@@ -63,9 +62,8 @@ class TestArnoldi:
 
 class TestSolve:
     def test_zero_boundary_data(self):
-        poles = lt.place_poles(lt.CORNERS, 8, 4.0)
-        pts = lt.collocation_points(8, 4.0)
-        model = lt.solve_dirichlet([(p, 0.0) for p in pts], poles, 6)
+        pts = lt.collocation_points(8)
+        model = lt.solve_dirichlet(pts, np.zeros(len(pts)), lt.place_poles(8), 6)
         assert np.max(np.abs(model.newman_coeffs)) == 0.0
         assert np.max(np.abs(model.runge_coeffs)) == 0.0
         assert model.boundary_residual == 0.0
@@ -89,18 +87,16 @@ class TestSolve:
     def test_residual_is_the_solved_systems(self):
         # The residual of the least-squares system agrees with the solved
         # model evaluated at the collocation points, to rounding.
-        poles = lt.place_poles(lt.CORNERS, 12, lt.SIGMA_SCALE)
-        pts = lt.collocation_points(12, lt.SIGMA_SCALE)
+        pts = lt.collocation_points(12)
         target = lt.flow_targets(pts)
-        model = lt.solve_dirichlet(list(zip(pts, target)), poles, 10)
+        model = lt.solve_dirichlet(pts, target, lt.place_poles(12), 10)
         want = np.max(np.abs(lt.evaluate_lightning(model, pts).imag - target))
         assert abs(model.boundary_residual - want) <= 1e-12 * want
 
     def test_not_enough_collocation(self):
-        poles = lt.place_poles(lt.CORNERS, 8, 4.0)
         pts = lt.boundary_points(10)
         with pytest.raises(ValueError, match="collocation"):
-            lt.solve_dirichlet([(p, 0.0) for p in pts], poles, 6)
+            lt.solve_dirichlet(pts, np.zeros(len(pts)), lt.place_poles(8), 6)
 
 
 class TestEvaluate:
@@ -108,7 +104,7 @@ class TestEvaluate:
     def _demo_sized_model():
         # The demo's 122 Newman poles and 24 Runge terms, random coefficients.
         rng = np.random.default_rng(5)
-        poles = lt.place_poles(lt.CORNERS, 61, 4.0)
+        poles = lt.place_poles(61)
         t = lt._runge_coordinate(lt.boundary_points(400), lt.RUNGE_CENTER)
         _, H = lt._arnoldi_basis(t, 24)
         return lt.LightningModel(
@@ -123,12 +119,17 @@ class TestEvaluate:
     def test_blocks_match_the_whole_array(self, n):
         model = self._demo_sized_model()
         z = self._points(np.random.default_rng(n), n)
-        whole = (lt._newman_block(z, model.newman_poles) @ model.newman_coeffs
-                 + lt._arnoldi_eval(lt._runge_coordinate(z, model.runge_center),
-                                    model.arnoldi_hessenberg) @ model.runge_coeffs)
-        assert np.array_equal(lt.evaluate_lightning(model, z), whole)
+        W = lt._arnoldi_eval(lt._runge_coordinate(z, model.runge_center),
+                             model.arnoldi_hessenberg)
+        whole = (np.einsum("ij,j->i", _cot_block(z, model.newman_poles), model.newman_coeffs)
+                 + np.einsum("ij,j->i", W, model.runge_coeffs))
+        got = lt.evaluate_lightning(model, z)
+        assert np.array_equal(got, whole)
         shaped = lt.evaluate_lightning(model, z[:200].reshape(10, 20))
         assert np.array_equal(shaped, whole[:200].reshape(10, 20))
+        # A point's value does not depend on the batch it comes in.
+        for i in range(0, n, n // 200):
+            assert lt.evaluate_lightning(model, z[i:i + 1])[0] == got[i]
 
     def test_memory_bounded(self):
         # One 50000 x 147 temporary would take 118 MB; blocks of
@@ -146,9 +147,8 @@ class TestEvaluate:
 
 class TestCompress:
     def test_zero_solution_compresses_to_constant(self):
-        poles = lt.place_poles(lt.CORNERS, 8, 4.0)
-        pts = lt.collocation_points(8, 4.0)
-        model = lt.solve_dirichlet([(p, 0.0) for p in pts], poles, 6)
+        pts = lt.collocation_points(8)
+        model = lt.solve_dirichlet(pts, np.zeros(len(pts)), lt.place_poles(8), 6)
         compressed = lt.compress(model)
         assert compressed.m == 1
 

@@ -335,6 +335,11 @@ class TestSampleSet:
         with pytest.raises(ValueError, match="duplicate"):
             SampleSet.from_data([1.0, 1.0, 2.0], [0.0, 0.0, 1.0])
 
+    def test_duplicate_pairs_named_in_sorted_point_order(self):
+        msg = "duplicate canonical sample points at indices 1/4, 0/2$"
+        with pytest.raises(ValueError, match=msg):
+            SampleSet.from_data([2.0, 1.0, 2.0, 3.0, 1.0], np.zeros(5))
+
     def test_canonicalized_duplicates_rejected(self):
         pts = np.asarray([1.0 + 0j, 1.0 + TWO_PI])
         canon = pts - TWO_PI * np.floor(pts.real / TWO_PI)
