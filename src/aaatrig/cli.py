@@ -231,7 +231,12 @@ def _fit_config(args) -> solver.FitConfig:
 
 
 def _scale_in(points: np.ndarray, period: float) -> np.ndarray:
-    return points * (TWO_PI / period)
+    """The points rescaled from ``period`` to 2*pi; a finite point must stay finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = points * (TWO_PI / period)
+    if np.any(np.isfinite(points) & ~np.isfinite(scaled)):
+        raise ValueError(f"--period {period!r} makes a finite point non-finite")
+    return scaled
 
 
 def _write_complex(path: str, header: list[str], a: np.ndarray, b: np.ndarray) -> None:

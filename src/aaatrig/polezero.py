@@ -91,17 +91,17 @@ def transform(model: TrigModel) -> TransformedBarycentric:
     return TransformedBarycentric(zeta, a, f, complex(np.sum(f * c)), complex(np.sum(c)))
 
 
-def _zeta_sum(model: TrigModel, lam: np.ndarray, coeff: np.ndarray):
+def _zeta_sum(form, lam: np.ndarray):
     """S(lambda) = sum_j (a_j/(lambda - zeta_j) + c_j) and its lambda-derivative
     -sum_j a_j/(lambda - zeta_j)^2 at each point of lam, with the largest term
     magnitude of each sum (non-finite if any term is).
 
-    (zeta_j, a_j, c_j) is the :func:`_zeta_form` of coeff.  The kernel sum
-    sum_j coeff_j cst((z - z_j)/2) is h S(e^{iz}), with h = 2i e^{iz/2} (odd)
-    or i (even); h never vanishes, so S has the kernel sum's roots and the
-    same ratio of sum to largest term.
+    form is (zeta_j, a_j, c_j), the :func:`_zeta_form` of some coefficients
+    coeff_j with s = 1.  The kernel sum sum_j coeff_j cst((z - z_j)/2) is
+    h S(e^{iz}), with h = 2i e^{iz/2} (odd) or i (even); h never vanishes, so
+    S has the kernel sum's roots and the same ratio of sum to largest term.
     """
-    zeta_j, a, c = _zeta_form(model, 1.0, coeff)
+    zeta_j, a, c = form
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         diff = lam[:, None] - zeta_j
         terms = (a + c * diff) / diff
@@ -110,8 +110,8 @@ def _zeta_sum(model: TrigModel, lam: np.ndarray, coeff: np.ndarray):
             np.max(np.abs(terms), axis=1), np.max(np.abs(dterms), axis=1))
 
 
-def _polished(model: TrigModel, cands: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """A few Newton steps on S (:func:`_zeta_sum`) to sharpen eigenvalues.
+def _polished(form, cands: np.ndarray) -> np.ndarray:
+    """A few Newton steps on S (:func:`_zeta_sum` of form) to sharpen eigenvalues.
 
     Eigenvalues of doublet poles can carry errors far above the local root
     width; polishing makes the residual check meaningful there.  Candidates
@@ -122,7 +122,7 @@ def _polished(model: TrigModel, cands: np.ndarray, coeff: np.ndarray) -> np.ndar
     lam = cands.copy()
     live = np.arange(len(lam))
     for _ in range(3):
-        fv, dv, _, _ = _zeta_sum(model, lam[live], coeff)
+        fv, dv, _, _ = _zeta_sum(form, lam[live])
         with np.errstate(divide="ignore", invalid="ignore"):
             step = fv / dv
         ok = np.abs(step) <= 0.05 * np.abs(lam[live])
@@ -156,22 +156,21 @@ def _roots(model: TrigModel, use_numerator: bool) -> np.ndarray:
     not strip points.  The rest are polished and checked in lambda, and only
     the verified ones are mapped back to z.
     """
-    tb = transform(model)
-    if use_numerator:
-        head, payload = tb.head_num, tb.fvals * tb.shifted_weights
-    else:
-        head, payload = tb.head_den, tb.shifted_weights
-    pencil = arrowhead_matrix(head, payload, tb.shifted_support)
-    lam = generalized_eig_arrow(pencil).finite_eigenvalues
+    zeta_j, a, c = form = _zeta_form(model, 1.0, model.weights)
+    f = model.fvals
+    # transform's heads and payloads: the pencil is the one it describes.
+    head, payload = (np.sum(f * c), f * a) if use_numerator else (np.sum(c), a)
+    lam = generalized_eig_arrow(arrowhead_matrix(head, payload, zeta_j)).finite_eigenvalues
     lam = lam[(np.abs(lam) > 1e-13) & (np.abs(lam) < 1e13)]
-    coeff = model.weights * (model.fvals if use_numerator else 1.0)
-    lam = _polished(model, lam, coeff)
-    total, _, ref, _ = _zeta_sum(model, lam, coeff)
+    if use_numerator:
+        form = _zeta_form(model, 1.0, model.weights * f)
+    lam = _polished(form, lam)
+    total, _, ref, _ = _zeta_sum(form, lam)
     bad = ~np.isfinite(ref)
     if np.any(bad):
         # A candidate may sit within rounding of a node; nudge it off by
         # lambda e^{-1e-12}, which is z + 1e-12i.
-        total[bad], _, ref[bad], _ = _zeta_sum(model, lam[bad] * np.exp(-1e-12), coeff)
+        total[bad], _, ref[bad], _ = _zeta_sum(form, lam[bad] * np.exp(-1e-12))
     z = _canonicalize_array(-1j * np.log(lam[np.abs(total) <= RESIDUAL_TOL * ref]))
     z = z[np.lexsort((z.imag, z.real))]
     # Deduplicate coincident roots (a multiple root gives several nearby
@@ -198,8 +197,8 @@ def _quotient_parts(model: TrigModel, poles):
     true pole, but keeps the quotient exact at any point.
     """
     lam = np.exp(1j * np.asarray(poles, dtype=complex))
-    num, _, _, _ = _zeta_sum(model, lam, model.weights * model.fvals)
-    den, dden, _, dref = _zeta_sum(model, lam, model.weights)
+    num, _, _, _ = _zeta_sum(_zeta_form(model, 1.0, model.weights * model.fvals), lam)
+    den, dden, _, dref = _zeta_sum(_zeta_form(model, 1.0, model.weights), lam)
     dlog_h = 0.5j if model.parity is Parity.ODD else 0.0
     return num, dlog_h * den + 1j * lam * dden, np.abs(lam) * dref
 

@@ -94,7 +94,9 @@ def loewner_system(samples: SampleSet, support_idx, kernel) -> LeastSquaresSyste
     if len(support_idx) > samples.size / 2:
         raise ValueError("order exceeds half the sample count")
     columns = kernel_columns(samples, support_idx, kernel)
-    return _assemble(samples, support_idx, columns, _loewner_rows(samples, support_idx, columns))
+    A, rows = _assemble(samples, support_idx, _loewner_rows(samples, support_idx, columns))
+    return LeastSquaresSystem(A, rows, samples.values[rows], samples.values[support_idx],
+                              columns[rows])
 
 
 def _loewner_rows(samples: SampleSet, support_idx, columns) -> np.ndarray:
@@ -105,14 +107,12 @@ def _loewner_rows(samples: SampleSet, support_idx, columns) -> np.ndarray:
         return (samples.values[None, :] - fj[:, None]) * columns.T
 
 
-def _assemble(samples: SampleSet, support_idx, columns, lrows) -> LeastSquaresSystem:
+def _assemble(samples: SampleSet, support_idx, lrows):
     """The one Loewner assembly: the non-support columns k of the Loewner
     rows ``lrows`` (see :func:`_loewner_rows`), gathered into a fresh
-    F-contiguous matrix, and the kernel block columns[k] for the residual."""
+    F-contiguous matrix, and those k, the active rows."""
     rows = np.delete(np.arange(samples.size), support_idx)
-    A = np.take(lrows, rows, axis=1).T
-    return LeastSquaresSystem(A, rows, samples.values[rows], samples.values[support_idx],
-                              columns[rows])
+    return np.take(lrows, rows, axis=1).T, rows
 
 
 def assemble_loewner(samples: SampleSet, support_idx, parity: Parity) -> LeastSquaresSystem:
@@ -153,26 +153,25 @@ def _far_rows(target: FarField | None, parity: Parity):
 def solve_weights(samples: SampleSet, support_idx, columns, lrows, far_rows=None):
     """One weight solve on the Loewner system of a support.
 
-    :func:`_assemble` gathers the system A from the support's kernel columns
-    and Loewner rows.  The weights minimise ||A w|| with ||w|| = 1 subject to
-    C w = 0, held to rounding by
-    :func:`~aaatrig.numerics.constrained_min_singular_direction`, which
-    factors A in place.  C is ``far_rows(z_j, f_j)`` (one row for even
+    :func:`_assemble` gathers the system A from the support's Loewner rows.
+    The weights minimise ||A w|| with ||w|| = 1 subject to C w = 0, held to
+    rounding by :func:`~aaatrig.numerics.constrained_min_singular_direction`,
+    which factors A in place.  C is ``far_rows(z_j, f_j)`` (one row for even
     parity, two for odd), or has no rows when ``far_rows`` is None, and then
     the weights are those of :func:`~aaatrig.numerics.min_singular_direction`
     bit for bit.  While the order m is at most the rank r of C, only w = 0
     satisfies the constraint, so those first steps solve without it.
     Returns the weights, the active (non-support) rows and the absolute
-    residuals of the rational there.
+    residuals of the rational there, taken on the kernel columns over all M
+    samples and then read at those rows.
     """
-    system = _assemble(samples, support_idx, columns, lrows)
-    zj = samples.points[np.asarray(support_idx, dtype=int)]
-    rows = np.zeros((0, len(zj))) if far_rows is None else far_rows(zj, system.s_f)
-    weights = constrained_min_singular_direction(system.matrix, rows, overwrite_a=True)
-    C = system.cauchy
+    A, rows = _assemble(samples, support_idx, lrows)
+    fj = samples.values[support_idx]
+    C = np.zeros((0, len(fj))) if far_rows is None else far_rows(samples.points[support_idx], fj)
+    weights = constrained_min_singular_direction(A, C, overwrite_a=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = (C @ (weights * system.s_f)) / (C @ weights)
-    return weights, system.active_rows, np.abs(system.s_F - r)
+        r = (columns @ (weights * fj)) / (columns @ weights)
+    return weights, rows, np.abs(samples.values[rows] - r[rows])
 
 
 def kernel_columns(samples: SampleSet, support_idx, kernel) -> np.ndarray:

@@ -6,8 +6,8 @@ A model is a ratio of weighted sums of a trigonometric kernel ``cst``:
 
 where ``cst`` is ``csc`` (odd parity) or ``cot`` (even parity).  For any
 nonzero weights, r interpolates the values f_j at the support points z_j
-and is 2*pi-periodic in the real direction.  All points are kept in the
-canonical strip 0 <= Re(z) < 2*pi.
+and is 2*pi-periodic in the real direction.  Sample and support points lie
+in the canonical strip 0 <= Re(z) < 2*pi; evaluation points are taken as given.
 """
 
 from __future__ import annotations
@@ -116,8 +116,8 @@ def cst(parity: Parity, u: complex) -> complex:
 class SampleSet:
     """Scattered complex sample points with data values, canonicalized.
 
-    Build through :meth:`from_data`, which projects the points onto the
-    strip and rejects duplicates.
+    The constructor, like :meth:`from_data`, projects the points onto the
+    strip and rejects non-finite data and duplicate canonical points.
     """
 
     points: np.ndarray
@@ -130,15 +130,6 @@ class SampleSet:
             raise ValueError("points and values must be 1-d arrays of equal length")
         if len(pts) < 2:
             raise ValueError("a sample set needs at least 2 points")
-        pts.flags.writeable = False
-        vals.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_data(cls, points, values) -> "SampleSet":
-        pts = np.atleast_1d(np.asarray(points, dtype=complex))
-        vals = np.atleast_1d(np.asarray(values, dtype=complex))
         if not np.all(np.isfinite(pts.real) & np.isfinite(pts.imag)):
             raise ValueError("non-finite sample point")
         if not np.all(np.isfinite(vals.real) & np.isfinite(vals.imag)):
@@ -146,11 +137,15 @@ class SampleSet:
         pts = _canonicalize_array(pts)
         dup = _duplicate_indices(pts)
         if dup:
-            raise ValueError(
-                "duplicate canonical sample points at indices "
-                + ", ".join(f"{i}/{j}" for i, j in dup)
-            )
-        return cls(pts, vals)
+            pairs = ", ".join(f"{i}/{j}" for i, j in dup)
+            raise ValueError(f"duplicate canonical sample points at indices {pairs}")
+        for name, arr in (("points", pts), ("values", vals)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_data(cls, points, values) -> "SampleSet":
+        return cls(points, values)
 
     @property
     def size(self) -> int:
@@ -272,18 +267,19 @@ def by_blocks(fn, zs, width: int) -> np.ndarray:
 
 
 def blockwise(fn, zs, width: int) -> np.ndarray:
-    """fn(s, points) on the canonicalized points of zs, by block and half-plane.
+    """fn(s, points) on the points of zs as given, by block and half-plane.
 
     The blocks are those of by_blocks.  Each is split by the sign s of Im z
     (+1 where Im z >= 0), so |e^{isz}| <= 1 at every point fn gets; a block in
-    one half-plane goes to fn whole.  Raises on non-finite points.
+    one half-plane goes to fn whole.  The points are not projected onto the
+    strip: e^{isz} reduces them exactly, and z - 2*pi*k in floating point
+    would move them by about k * 2.4e-16.  Raises on non-finite points.
     """
     zs = np.asarray(zs, dtype=complex)
     if not np.isfinite(zs).all():
-        raise ValueError("non-finite sample point")
+        raise ValueError("non-finite point")
 
     def block(chunk):
-        chunk = _canonicalize_array(chunk)
         down = chunk.imag < 0.0
         n_down = np.count_nonzero(down)
         if n_down in (0, chunk.size):

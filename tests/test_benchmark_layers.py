@@ -5,11 +5,14 @@ benchmark ships it."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_PATH = ROOT / "perfbench" / "spans.py"
 
 
 def _spans_module():
@@ -83,3 +86,12 @@ def test_fit_cleanup_is_traced_inside_the_fit():
     assert len(fits) == 1
     assert len(cleanups) == 1
     assert cleanups[0][3] == fits[0]
+
+
+def test_benchmark_selftest_passes():
+    # Every workload at --size tiny, the verdict logic and the missing-package
+    # exit; its files go to the git-ignored .perfbench_work/ and .perfbench_out/.
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    assert done.stdout.splitlines()[-1] == "selftest: ok"

@@ -261,6 +261,10 @@ class TestDerivativeAt:
         with pytest.raises(ValueError, match="unsupported order"):
             derivative_at(odd_worked(), 1.0, 5)
 
+    def test_order_zero_rejected(self):
+        with pytest.raises(ValueError, match="order must be positive"):
+            derivative_at(odd_worked(), 1.0, 0)
+
 
 @pytest.fixture(scope="module", params=list(Parity), ids=lambda p: p.value)
 def exp_sin_fit(request):

@@ -74,6 +74,19 @@ class TestIngest:
         with pytest.raises(ValueError, match="header"):
             ingest(str(p))
 
+    @pytest.mark.parametrize("name, body, fmt, message", [
+        ("d.json", '{"points": [[1.0, 0.0], [2.0, 0.0]], "values": [[1.0, 0.0]]}', "json",
+         "points and values differ in length"),
+        ("d.csv", "re_z,im_z,re_f,im_f\n1.0,0.0,1.0,0.0\n", "tsv", "unknown format 'tsv'"),
+        ("d.csv", "re_z,im_z,re_f,im_f\n1.0,0.0,1.0,0.0\n2.0,0.0,1.0,0.0,5.0\n", "csv",
+         "line 3: expected 4 columns"),
+    ])
+    def test_malformed_input_rejected(self, tmp_path, name, body, fmt, message):
+        p = tmp_path / name
+        p.write_text(body)
+        with pytest.raises(ValueError, match=message):
+            ingest(str(p), fmt)
+
 
 class TestModelFile:
     def test_round_trip_byte_identical(self, tmp_path):
@@ -728,6 +741,24 @@ class TestModuleEntryPoint:
         assert len(err) == 1, done.stderr
         assert err[0].startswith("aaatrig: error: ")
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("command", ["eval", "diff", "fit", "clean"])
+    def test_period_overflow_is_one_error_line(self, tmp_path, command):
+        # 1e10 * 2*pi/1e-300 overflows: numpy's warning must not reach the user.
+        (tmp_path / "pts.csv").write_text("re_z,im_z\n0.5,0.0\n1e10,0.0\n")
+        write_csv(tmp_path / "data.csv", [(x, 0.0, 1.0, 0.0) for x in (1e10, 1.0, 2.0, 3.0)])
+        mp = self.model_file(tmp_path)
+        inputs = {"eval": ["--model", mp, "--points", "pts.csv"],
+                  "diff": ["--model", mp, "--points", "pts.csv"],
+                  "fit": ["--data", "data.csv"],
+                  "clean": ["--model", mp, "--data", "data.csv"]}
+        done = self.run([command, *inputs[command], "--period", "1e-300", "--out", "o"],
+                        tmp_path)
+        assert done.returncode == 1
+        err = done.stderr.splitlines()
+        assert len(err) == 1, done.stderr
+        assert err[0].startswith("aaatrig: error: ") and "--period" in err[0]
+        assert "Warning" not in done.stderr and "Traceback" not in done.stderr
 
     def test_malformed_points_is_one_error_line(self, tmp_path):
         mp = self.model_file(tmp_path)

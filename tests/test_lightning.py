@@ -37,6 +37,10 @@ class TestPlacePoles:
         with pytest.raises(ValueError, match="per_corner 94 too large"):
             lt.place_poles(94)
 
+    def test_per_corner_must_be_positive(self):
+        with pytest.raises(ValueError, match="per_corner must be positive"):
+            lt.place_poles(0)
+
     @pytest.mark.parametrize("per_corner", [1, 12, 61, 93])
     def test_demo_poles_inside_obstacle(self, per_corner):
         poles = lt.place_poles(per_corner)

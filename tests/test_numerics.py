@@ -217,6 +217,14 @@ class TestGeneralizedEigArrow:
         key = np.lexsort((lam.imag, lam.real))
         assert np.array_equal(key, np.arange(len(lam)))
 
+    def test_arrowhead_lengths_must_match(self):
+        with pytest.raises(ValueError, match="share length"):
+            arrowhead_matrix(0.0, [1.0, 2.0], [3.0])
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="not arrowhead"):
+            generalized_eig_arrow(np.ones((2, 3), dtype=complex))
+
     def test_structure_violation(self):
         A = arrowhead_matrix(0.0, [1.0, 2.0], [3.0, 4.0])
         bad = A.copy()

@@ -21,6 +21,7 @@ from aaatrig.trigbary import (
     SampleSet,
     TrigModel,
     TWO_PI,
+    _zeta_form,
     evaluate_batch,
     far_field,
     strip_distance,
@@ -208,15 +209,15 @@ class TestKernelSum:
         heights = np.repeat([0.5, 39.0, 41.0, -0.5, -39.0, -41.0], 4)
         z = rng.uniform(0.0, TWO_PI, len(heights)) + 1j * heights
         lam = np.exp(1j * z)
-        total, deriv, ref, dref = _zeta_sum(model, lam, model.weights)
+        form = _zeta_form(model, 1.0, model.weights)
+        total, deriv, ref, dref = _zeta_sum(form, lam)
         h = 2j * np.exp(0.5j * z) if parity is Parity.ODD else 1j
         direct, _ = barycentric_sum(model, z)
         assert np.all(np.abs(h * total - direct) <= 1e-12 * np.abs(h) * ref)
         # Step 1e-5 of the distance to the nearest node, the scale on which
         # S varies; FD rounding is then about eps * m * ref / step.
         step = 1e-5 * np.min(np.abs(lam[:, None] - np.exp(1j * model.support)), axis=1)
-        fd = (_zeta_sum(model, lam + step, model.weights)[0]
-              - _zeta_sum(model, lam - step, model.weights)[0]) / (2 * step)
+        fd = (_zeta_sum(form, lam + step)[0] - _zeta_sum(form, lam - step)[0]) / (2 * step)
         assert np.all(np.abs(deriv - fd) <= 1e-7 * dref + 1e-14 * ref / step)
 
     @pytest.mark.parametrize("parity", list(Parity))
@@ -352,6 +353,14 @@ class TestPartialFractions:
                 alone = np.array([partial_fraction_eval(pf, zs[i:i + 1])[0] for i in range(257)])
                 assert np.array_equal(alone, batch)
 
+    def test_eval_without_poles_is_the_constant(self):
+        # A one-point model is constant: its form has no poles.
+        model = TrigModel.build(Parity.ODD, [1.0], [2.0 - 1.0j], [1.0])
+        pf = partial_fractions(model)
+        assert len(pf.poles) == 0
+        zs = np.asarray([0.5, 3.0 + 2.0j, -1.0 - 40.0j])
+        assert np.array_equal(partial_fraction_eval(pf, zs), np.full(3, 2.0 - 1.0j))
+
     def test_eval_memory_bounded(self):
         # One 200000 x 54 temporary would take 173 MB; blocks of
         # EVAL_CELLS cells keep each at 1 MiB.
@@ -411,3 +420,7 @@ class TestTaperFit:
     def test_insufficient_cluster(self):
         with pytest.raises(ValueError, match="insufficient cluster"):
             taper_fit([5.0 + 5j, 0.1, 0.2], 0.0, 5)
+
+    def test_corner_on_a_cluster_point(self):
+        with pytest.raises(ValueError, match="corner coincides"):
+            taper_fit([0.0, 0.1, 0.2, 0.3], 0.0, 4)

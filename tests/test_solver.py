@@ -410,6 +410,15 @@ class TestCleanup:
         cleaned = cleanup(model, ss, FitConfig())
         assert cleaned is model
 
+    def test_support_point_absent_from_samples(self):
+        # cleanup_tol 10 marks the worked model's pole (residue -2), so the
+        # support must be found among samples that do not hold it.
+        model = TrigModel.build(Parity.ODD, [0.0, np.pi], [1.0, -1.0], [1.0, 1.0])
+        pts = TWO_PI * (np.arange(16) + 0.5) / 16
+        ss = SampleSet.from_data(pts, evaluate_batch(model, pts))
+        with pytest.raises(ValueError, match="not present in the sample set"):
+            cleanup(model, ss, FitConfig(cleanup_tol=10.0))
+
     def test_unchanged_without_poles(self):
         # Odd, m = 2, shifted weights w_j e^{i z_j/2} summing to zero: the
         # denominator is a multiple of 1/((zeta - zeta_1)(zeta - zeta_2)),

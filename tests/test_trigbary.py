@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from aaatrig.calculus import derivative_at
+from aaatrig.solver import FitConfig, fit
 from aaatrig.trigbary import (
     EVAL_CELLS,
     FarField,
@@ -98,6 +100,11 @@ class TestEvaluate:
         model = worked_odd_model()
         expected = 2.0 + np.sqrt(3.0)  # -cot((pi/3 - pi/2)/2)
         assert abs(evaluate(model, np.pi / 3) - expected) < 1e-13
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+    def test_non_finite_point_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite point"):
+            evaluate_batch(worked_odd_model(), [1.0, bad])
 
     def test_interpolation_shortcut(self):
         model = worked_odd_model()
@@ -356,6 +363,26 @@ class TestSampleSet:
         with pytest.raises(ValueError, match="non-finite"):
             SampleSet.from_data([np.nan, 1.0], [0.0, 1.0])
 
+    # The tests above, and the input checks, on the constructor itself.
+    @pytest.mark.parametrize("points, values, message", [
+        ([1.0, 1.0, 2.0], [0.0, 0.0, 1.0], "duplicate"),
+        ([2.0, 1.0, 2.0, 3.0, 1.0], np.zeros(5), "at indices 1/4, 0/2$"),
+        ([1.0, 1.0 + TWO_PI, 2.0], [0.0, 1.0, 2.0], "duplicate"),
+        ([np.nan, 1.0], [0.0, 1.0], "non-finite sample point"),
+        ([1.0, 2.0], [1.0, np.inf], "non-finite sample value"),
+        ([1.0, 2.0, 3.0], [1.0, 2.0], "equal length"),
+        ([1.0], [1.0], "at least 2 points"),
+    ], ids=["duplicate", "pairs", "wrapped", "point", "value", "shape", "one-point"])
+    def test_constructor_rejects_malformed_input(self, points, values, message):
+        with pytest.raises(ValueError, match=message):
+            SampleSet(points, values)
+
+    def test_constructor_projects_as_from_data(self):
+        pts, vals = [-1.0, 9.0 + 0.5j, 3.0], [1.0, 2.0, 3.0]
+        ss = SampleSet(pts, vals)
+        assert np.all(ss.points.real >= 0.0) and np.all(ss.points.real < TWO_PI)
+        assert ss.points.tobytes() == SampleSet.from_data(pts, vals).points.tobytes()
+
 
 class TestTrigModel:
     def test_norm_enforced(self):
@@ -388,6 +415,17 @@ class TestTrigModel:
         with pytest.raises(ValueError):
             model.support[0] = 1.0
 
+    @pytest.mark.parametrize("support, weights, history, message", [
+        ([1.0, 2.0], [0.6, 0.8, 0.0], None, "share length"),
+        ([1.0, TWO_PI], [0.6, 0.8], None, "canonical strip"),
+        ([1.0, 2.0], [0.0, 0.0], None, "must not all vanish"),
+        ([1.0, 2.0], [0.6, 0.8], [0.0], "one entry per support point"),
+    ])
+    def test_malformed_model_rejected(self, support, weights, history, message):
+        with pytest.raises(ValueError, match=message):
+            TrigModel(Parity.ODD, np.asarray(support, dtype=complex), np.ones(len(support)),
+                      np.asarray(weights, dtype=complex), err_history=history)
+
     def test_strip_distance_wraps(self):
         assert abs(strip_distance(0.1, TWO_PI - 0.1) - 0.2) < 1e-12
 
@@ -397,3 +435,26 @@ def test_random_model_refuses_crowded_support():
     # must say so instead of drawing forever.
     with pytest.raises(ValueError, match="m=40"):
         random_model(np.random.default_rng(0), 40, Parity.ODD)
+
+
+def test_unknown_parity_rejected():
+    with pytest.raises(ValueError, match="unknown parity 'x'"):
+        Parity.from_string("x")
+
+
+@pytest.fixture(scope="module")
+def tanh_odd_fit():
+    x = TWO_PI * np.arange(1000) / 1000
+    return fit(SampleSet.from_data(x, np.tanh(60.0 * np.cos(x))), FitConfig())
+
+
+@pytest.mark.parametrize("periods", [10**3, 10**6])
+def test_points_many_periods_out_keep_their_accuracy(tanh_odd_fit, periods):
+    # Evaluation reads z through e^{isz}, which reduces z exactly; projecting
+    # z - 2*pi*k with the rounded 2*pi first moved it by about k * 2.4e-16,
+    # and cost 2.7e-8 (values) and 1.2e-6 (derivatives) at k = 10^6.
+    z = np.random.default_rng(22).uniform(0.0, TWO_PI, 2000) + TWO_PI * periods
+    t = np.tanh(60.0 * np.cos(z))
+    assert np.max(np.abs(evaluate_batch(tanh_odd_fit, z) - t)) <= 1e-13
+    dt = -60.0 * np.sin(z) * (1.0 - t * t)
+    assert np.max(np.abs(derivative_at(tanh_odd_fit, z, 1) - dt)) <= 1e-10
