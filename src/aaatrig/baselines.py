@@ -36,14 +36,14 @@ class AaaModel:
 class FourierInterpolant:
     """DFT coefficients of equispaced samples with a truncation order.
 
-    Evaluation uses the balanced exponential form, which oscillates least
-    between the sample points; truncating to order ``m`` is the grid
-    least-squares-optimal trigonometric polynomial of that order.
+    The grid size M is len(coefficients).  Evaluation uses the balanced
+    exponential form, which oscillates least between the sample points;
+    truncating to order ``m`` is the grid least-squares-optimal
+    trigonometric polynomial of that order.
     """
 
     coefficients: np.ndarray
     order: int
-    grid_size: int
 
 
 def aaa_fit(samples: SampleSet, rel_tol: float = 1e-13, max_order: int = 100) -> AaaModel:
@@ -74,7 +74,7 @@ def fft_interpolant(samples: SampleSet) -> FourierInterpolant:
 
     The samples may arrive in any order but must sit exactly on the grid
     (checked to 1e-12).  The order-m truncation of the result is
-    ``FourierInterpolant(coefficients, m, M)``.
+    ``FourierInterpolant(coefficients, m)``.
     """
     M = samples.size
     order_idx = np.argsort(samples.points.real)
@@ -83,14 +83,15 @@ def fft_interpolant(samples: SampleSet) -> FourierInterpolant:
     grid = TWO_PI * np.arange(M) / M
     if np.any(np.abs(pts - grid) > 1e-12):
         raise ValueError("FFT baseline requires uniform grid")
-    return FourierInterpolant(np.fft.fft(vals) / M, M // 2, M)
+    return FourierInterpolant(np.fft.fft(vals) / M, M // 2)
 
 
 def evaluate_fourier(interp: FourierInterpolant, zs) -> np.ndarray:
     """Evaluate the (truncated) balanced trigonometric polynomial."""
     zs = np.asarray(zs, dtype=complex)
     flat = np.atleast_1d(zs).ravel()
-    F, M, m = interp.coefficients, interp.grid_size, interp.order
+    F, m = interp.coefficients, interp.order
+    M = len(F)
     out = np.full(flat.shape, F[0], dtype=complex)
     # Paired modes k and M-k up to the last unpaired frequency.
     k_hi = min(m, (M - 1) // 2)
@@ -119,8 +120,8 @@ def fft_least_squares_errors(samples: SampleSet, orders) -> np.ndarray:
     m = floor(M/2) on, and a negative m reads as 0.  The tail is summed
     from the top, so a small tail does not cancel.
     """
-    interp = fft_interpolant(samples)
-    F, M = interp.coefficients, interp.grid_size
+    F = fft_interpolant(samples).coefficients
+    M = len(F)
     level = np.minimum(np.arange(M), M - np.arange(M))
     energy = np.bincount(level, weights=np.abs(F) ** 2)
     # tail[m] = sum of energy over levels above m.

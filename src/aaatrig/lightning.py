@@ -44,13 +44,12 @@ class LightningModel:
 
     f(z) = sum_j a_j cot((z - p_j)/2) + sum_k b_k q_k(tan((z - z*)/2))
 
-    where q_k is the Arnoldi-orthogonalized polynomial basis described by
-    the Hessenberg data.
+    where z* is RUNGE_CENTER and q_k is the Arnoldi-orthogonalized
+    polynomial basis described by the Hessenberg data.
     """
 
     newman_poles: np.ndarray
     newman_coeffs: np.ndarray
-    runge_center: complex
     runge_coeffs: np.ndarray
     arnoldi_hessenberg: np.ndarray
     boundary_residual: float = 0.0
@@ -161,15 +160,15 @@ def _arnoldi_eval(t: np.ndarray, H: np.ndarray) -> np.ndarray:
     return W
 
 
-def _runge_coordinate(z, center) -> np.ndarray:
-    return np.tan((np.asarray(z, dtype=complex) - center) / 2.0)
+def _runge_coordinate(z) -> np.ndarray:
+    return np.tan((np.asarray(z, dtype=complex) - RUNGE_CENTER) / 2.0)
 
 
 def evaluate_lightning(model: LightningModel, z) -> np.ndarray:
     """Evaluate the lightning expansion elementwise, by blocks of z as given."""
 
     def block(zb):
-        W = _arnoldi_eval(_runge_coordinate(zb, model.runge_center), model.arnoldi_hessenberg)
+        W = _arnoldi_eval(_runge_coordinate(zb), model.arnoldi_hessenberg)
         return (np.einsum("ij,j->i", _cot_block(zb, model.newman_poles), model.newman_coeffs)
                 + np.einsum("ij,j->i", W, model.runge_coeffs))
     return by_blocks(block, z, model.n_newman + model.n_runge + 1)
@@ -193,7 +192,7 @@ def solve_dirichlet(points, targets, poles, n_runge: int) -> LightningModel:
         raise ValueError("not enough collocation points")
 
     newman = _cot_block(pts, poles)
-    t = _runge_coordinate(pts, RUNGE_CENTER)
+    t = _runge_coordinate(pts)
     Q, H = _arnoldi_basis(t, n_runge)
     basis = np.hstack([newman, Q])
 
@@ -217,7 +216,7 @@ def solve_dirichlet(points, targets, poles, n_runge: int) -> LightningModel:
     full = np.zeros(2 * (n1 + n_runge + 1))
     full[keep] = sol / norms
     coefs = full[: n1 + n_runge + 1] + 1j * full[n1 + n_runge + 1 :]
-    return LightningModel(poles, coefs[:n1], complex(RUNGE_CENTER), coefs[n1:], H, resid)
+    return LightningModel(poles, coefs[:n1], coefs[n1:], H, resid)
 
 
 def flow_targets(pts) -> np.ndarray:

@@ -110,10 +110,7 @@ def generalized_eig(A, B) -> GepResult:
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
     alpha, beta = scipy.linalg.eig(A, B, right=False, homogeneous_eigvals=True)
-    bmax = np.max(np.abs(beta))
-    if bmax == 0.0:
-        return GepResult(np.zeros(0, dtype=complex), len(alpha))
-    keep = np.abs(beta) > BETA_TOL * bmax
+    keep = np.abs(beta) > BETA_TOL * np.max(np.abs(beta))
     lam = alpha[keep] / beta[keep]
     finite = np.isfinite(lam.real) & np.isfinite(lam.imag)
     lam = lam[finite]
@@ -121,8 +118,8 @@ def generalized_eig(A, B) -> GepResult:
     return GepResult(lam[order], int(len(alpha) - len(lam)))
 
 
-def generalized_eig_arrow(A, B=None) -> GepResult:
-    """Finite eigenvalues of an arrowhead pencil.
+def generalized_eig_arrow(A) -> GepResult:
+    """Finite eigenvalues of the arrowhead pencil A v = lambda B v.
 
     A must have the shape
 
@@ -131,8 +128,9 @@ def generalized_eig_arrow(A, B=None) -> GepResult:
         [ ...            ...          ]
         [ 1                  shift_m  ]
 
-    and B = diag(0, 1, ..., 1).  Raises "not arrowhead" on any structure
-    violation.
+    and B is the fixed mass matrix diag(0, 1, ..., 1) of
+    :func:`arrow_mass_matrix`.  Raises "not arrowhead" on any structure
+    violation of A.
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     n = A.shape[0]
@@ -144,13 +142,7 @@ def generalized_eig_arrow(A, B=None) -> GepResult:
         or np.any(body[~np.eye(n - 1, dtype=bool)] != 0.0)
     ):
         raise ValueError("not arrowhead")
-    if B is None:
-        B = arrow_mass_matrix(n)
-    else:
-        B = np.atleast_2d(np.asarray(B, dtype=complex))
-        if B.shape != (n, n) or np.any(B != arrow_mass_matrix(n)):
-            raise ValueError("not arrowhead")
-    return generalized_eig(A, B)
+    return generalized_eig(A, arrow_mass_matrix(n))
 
 
 def arrow_mass_matrix(n: int) -> np.ndarray:

@@ -166,18 +166,15 @@ def _roots(model: TrigModel, use_numerator: bool) -> np.ndarray:
         form = _zeta_form(model, 1.0, model.weights * f)
     lam = _polished(form, lam)
     total, _, ref, _ = _zeta_sum(form, lam)
+    # A candidate may sit within rounding of a node; nudge it off by
+    # lambda e^{-1e-12}, which is z + 1e-12i.
     bad = ~np.isfinite(ref)
-    if np.any(bad):
-        # A candidate may sit within rounding of a node; nudge it off by
-        # lambda e^{-1e-12}, which is z + 1e-12i.
-        total[bad], _, ref[bad], _ = _zeta_sum(form, lam[bad] * np.exp(-1e-12))
+    total[bad], _, ref[bad], _ = _zeta_sum(form, lam[bad] * np.exp(-1e-12))
     z = _canonicalize_array(-1j * np.log(lam[np.abs(total) <= RESIDUAL_TOL * ref]))
     z = z[np.lexsort((z.imag, z.real))]
     # Deduplicate coincident roots (a multiple root gives several nearby
     # eigenvalues, which polishing can pull onto one point).
-    if len(z) > 1:
-        z = np.concatenate([z[:1], z[1:][strip_distance(z[1:], z[:-1]) > 1e-9]])
-    return z
+    return np.concatenate([z[:1], z[1:][strip_distance(z[1:], z[:-1]) > 1e-9]])
 
 
 def _pf_constant(model: TrigModel) -> complex:
@@ -239,12 +236,9 @@ def partial_fractions(model: TrigModel) -> PartialFractions:
         )
     poles = _roots(model, use_numerator=False)
     q = residues(model, poles) / 2.0
-    clustered = False
-    if len(poles) > 1:
-        d = strip_distance(poles[:, None], poles[None, :])
-        d[np.eye(len(d), dtype=bool)] = np.inf
-        clustered = bool(np.min(d) < 1e-6)
-    return PartialFractions(poles, q, _pf_constant(model), clustered)
+    d = strip_distance(poles[:, None], poles[None, :])
+    d[np.eye(len(d), dtype=bool)] = np.inf
+    return PartialFractions(poles, q, _pf_constant(model), bool(np.min(d, initial=np.inf) < 1e-6))
 
 
 def partial_fraction_eval(pf: PartialFractions, z) -> np.ndarray:

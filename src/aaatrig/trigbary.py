@@ -65,10 +65,7 @@ def canonicalize(z: complex) -> complex:
 def _canonicalize_array(z: np.ndarray) -> np.ndarray:
     out = z - TWO_PI * np.floor(z.real / TWO_PI)
     # Tiny negative real parts can round up to exactly 2*pi.
-    wrap = out.real >= TWO_PI
-    if wrap.any():
-        out = np.where(wrap, out - TWO_PI, out)
-    return out
+    return np.where(out.real >= TWO_PI, out - TWO_PI, out)
 
 
 def strip_distance(a, b):
@@ -124,8 +121,8 @@ class SampleSet:
     values: np.ndarray
 
     def __post_init__(self):
-        pts = np.atleast_1d(np.asarray(self.points, dtype=complex))
-        vals = np.atleast_1d(np.asarray(self.values, dtype=complex))
+        pts = np.array(self.points, dtype=complex, ndmin=1)
+        vals = np.array(self.values, dtype=complex, ndmin=1)
         if pts.shape != vals.shape or pts.ndim != 1:
             raise ValueError("points and values must be 1-d arrays of equal length")
         if len(pts) < 2:
@@ -187,9 +184,9 @@ class TrigModel:
     cleanup_warning: bool = False
 
     def __post_init__(self):
-        sup = np.atleast_1d(np.asarray(self.support, dtype=complex))
-        fv = np.atleast_1d(np.asarray(self.fvals, dtype=complex))
-        w = np.atleast_1d(np.asarray(self.weights, dtype=complex))
+        sup = np.array(self.support, dtype=complex, ndmin=1)
+        fv = np.array(self.fvals, dtype=complex, ndmin=1)
+        w = np.array(self.weights, dtype=complex, ndmin=1)
         if not (len(sup) == len(fv) == len(w)) or len(sup) < 1:
             raise ValueError("support, fvals and weights must share length m >= 1")
         if not all(np.all(np.isfinite(a)) for a in (sup, fv, w)):
@@ -202,7 +199,7 @@ class TrigModel:
         if not abs(norm - 1.0) <= 1e-12:
             raise ValueError("weights must have unit Euclidean norm")
         hist = self.err_history
-        hist = np.zeros(len(sup)) if hist is None else np.atleast_1d(np.asarray(hist, dtype=float))
+        hist = np.zeros(len(sup)) if hist is None else np.array(hist, dtype=float, ndmin=1)
         if len(hist) != len(sup):
             raise ValueError("err_history must have one entry per support point")
         scale = float(self.scale) if self.scale else float(np.max(np.abs(fv)))
@@ -374,11 +371,9 @@ def interpolatory_weights(parity: Parity, support) -> np.ndarray:
     """
     sup = _canonicalize_array(np.atleast_1d(np.asarray(support, dtype=complex)))
     m = len(sup)
-    if m == 1:
-        return np.ones(1, dtype=complex)
     diff = (sup[None, :] - sup[:, None]) / 2.0  # row j: (z_k - z_j)/2
     off = ~np.eye(m, dtype=bool)
-    if np.min(np.abs(diff[off])) == 0.0:
+    if np.min(np.abs(diff[off]), initial=np.inf) == 0.0:
         raise ValueError("coincident support points")
     log_csc = -np.log(np.sin(diff, where=off, out=np.ones_like(diff)))
     log_a = np.sum(log_csc, axis=1, where=off)

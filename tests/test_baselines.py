@@ -131,7 +131,7 @@ class TestFourier:
         x = TWO_PI * np.arange(M) / M
         f = np.tanh(2 * np.cos(x)) + 0.1 * rng.standard_normal(M)
         ss = SampleSet.from_data(x, f)
-        trunc = FourierInterpolant(fft_interpolant(ss).coefficients, m, M)
+        trunc = FourierInterpolant(fft_interpolant(ss).coefficients, m)
         V = np.column_stack([np.exp(1j * k * x) for k in range(-m, m + 1)])
         coef, *_ = np.linalg.lstsq(V, f.astype(complex), rcond=None)
         best = V @ coef
@@ -145,7 +145,7 @@ class TestFourier:
         f = np.cos(4 * x) + np.cos(x)
         coeffs = fft_interpolant(SampleSet.from_data(x, f)).coefficients
         for m in (4, 5):
-            vals = evaluate_fourier(FourierInterpolant(coeffs, m, M), x)
+            vals = evaluate_fourier(FourierInterpolant(coeffs, m), x)
             assert np.max(np.abs(vals - f)) <= 1e-14
 
     def test_requires_uniform_grid(self):

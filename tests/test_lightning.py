@@ -109,11 +109,11 @@ class TestEvaluate:
         # The demo's 122 Newman poles and 24 Runge terms, random coefficients.
         rng = np.random.default_rng(5)
         poles = lt.place_poles(61)
-        t = lt._runge_coordinate(lt.boundary_points(400), lt.RUNGE_CENTER)
+        t = lt._runge_coordinate(lt.boundary_points(400))
         _, H = lt._arnoldi_basis(t, 24)
         return lt.LightningModel(
             poles, rng.standard_normal(122) + 1j * rng.standard_normal(122),
-            complex(lt.RUNGE_CENTER), rng.standard_normal(25) + 1j * rng.standard_normal(25), H)
+            rng.standard_normal(25) + 1j * rng.standard_normal(25), H)
 
     @staticmethod
     def _points(rng, n):
@@ -123,8 +123,7 @@ class TestEvaluate:
     def test_blocks_match_the_whole_array(self, n):
         model = self._demo_sized_model()
         z = self._points(np.random.default_rng(n), n)
-        W = lt._arnoldi_eval(lt._runge_coordinate(z, model.runge_center),
-                             model.arnoldi_hessenberg)
+        W = lt._arnoldi_eval(lt._runge_coordinate(z), model.arnoldi_hessenberg)
         whole = (np.einsum("ij,j->i", _cot_block(z, model.newman_poles), model.newman_coeffs)
                  + np.einsum("ij,j->i", W, model.runge_coeffs))
         got = lt.evaluate_lightning(model, z)

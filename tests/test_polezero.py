@@ -24,6 +24,7 @@ from aaatrig.trigbary import (
     _zeta_form,
     evaluate_batch,
     far_field,
+    interpolatory_weights,
     strip_distance,
 )
 
@@ -319,6 +320,15 @@ class TestPartialFractions:
         assert pf.poles.tobytes() == report.poles.tobytes()
         assert pf.coefficients.tobytes() == (residues(model, report.poles) / 2.0).tobytes()
         assert np.complex128(pf.constant).tobytes() == np.complex128(report.constant).tobytes()
+
+    @pytest.mark.parametrize("n_poles", [0, 1])
+    def test_fewer_than_two_poles_not_clustered(self, n_poles):
+        # The odd interpolant on three points is a trigonometric polynomial.
+        sup = [0.5, 2.0, 4.5]
+        model = odd_worked() if n_poles else TrigModel.build(
+            Parity.ODD, sup, [1.0, 2.0, 0.5], interpolatory_weights(Parity.ODD, sup))
+        pf = partial_fractions(model)
+        assert len(pf.poles) == n_poles and pf.clustered is False
 
     def test_constant_model(self):
         pf = partial_fractions(TrigModel.build(Parity.ODD, [1.0], [4.0 - 2j], [1.0]))

@@ -383,6 +383,15 @@ class TestSampleSet:
         assert np.all(ss.points.real >= 0.0) and np.all(ss.points.real < TWO_PI)
         assert ss.points.tobytes() == SampleSet.from_data(pts, vals).points.tobytes()
 
+    def test_callers_arrays_stay_the_callers(self):
+        # The set keeps read-only copies: the caller's complex arrays stay
+        # writable, and writing to them does not reach the set.
+        pts, vals = np.asarray([1.0 + 0j, 2.0]), np.asarray([3.0 + 0j, 4.0])
+        ss = SampleSet(pts, vals)
+        pts[0], vals[0] = 5.0, 6.0
+        assert not ss.points.flags.writeable and not ss.values.flags.writeable
+        assert ss.points[0] == 1.0 and ss.values[0] == 3.0
+
 
 class TestTrigModel:
     def test_norm_enforced(self):
@@ -414,6 +423,16 @@ class TestTrigModel:
         model = worked_odd_model()
         with pytest.raises(ValueError):
             model.support[0] = 1.0
+
+    def test_callers_arrays_stay_the_callers(self):
+        # As for SampleSet: read-only copies, the caller's arrays untouched.
+        given = [np.asarray([1.0 + 0j, 2.0]), np.asarray([3.0 + 0j, 4.0]),
+                 np.asarray([0.6 + 0j, 0.8]), np.asarray([1e-3, 1e-9])]
+        model = TrigModel(Parity.ODD, *given[:3], err_history=given[3])
+        for arr in given:
+            arr[0] = 0.5
+        for own in (model.support, model.fvals, model.weights, model.err_history):
+            assert not own.flags.writeable and own[0] != 0.5
 
     @pytest.mark.parametrize("support, weights, history, message", [
         ([1.0, 2.0], [0.6, 0.8, 0.0], None, "share length"),
