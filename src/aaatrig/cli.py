@@ -91,14 +91,13 @@ def read_model(path: str) -> TrigModel:
 
 
 def _load_json(path: str, parse, what: str):
-    """Parse the JSON document at path; a missing or mistyped field in it
-    becomes ValueError(path: ...)."""
+    """Parse the JSON document at path; text that is not UTF-8 JSON, or a
+    missing, mistyped or invalid field in it, becomes ValueError(path: ...)."""
     with open(path) as fh:
-        doc = json.load(fh)
-    try:
-        return parse(doc)
-    except (KeyError, TypeError, IndexError, AttributeError) as exc:
-        raise ValueError(f"{path}: malformed {what} ({exc})")
+        try:
+            return parse(json.load(fh))
+        except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
+            raise ValueError(f"{path}: malformed {what} ({exc})")
 
 
 TABLE_BLOCK = 8192
@@ -197,6 +196,8 @@ def _read_csv(path: str, columns: list[str], exact: bool) -> np.ndarray:
                 table = np.asarray(rows, dtype=float).reshape(-1, k)
         except csv.Error as exc:  # a field longer than csv.field_size_limit(), say
             raise ValueError(f"{path}: line {reader.line_num}: {exc}")
+        except UnicodeDecodeError as exc:  # text is decoded by blocks, not by lines
+            raise ValueError(f"{path}: malformed CSV file ({exc})")
     return np.ascontiguousarray(table[:, :k]).view(complex)
 
 

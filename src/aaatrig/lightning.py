@@ -188,34 +188,34 @@ def solve_dirichlet(points, targets, poles, n_runge: int) -> LightningModel:
     rhs = np.asarray(targets, dtype=float)
     poles = np.asarray(poles, dtype=complex)
     n1 = len(poles)
-    if len(pts) < 2 * (n1 + n_runge + 1):
+    n = n1 + n_runge + 1
+    if len(pts) < 2 * n:
         raise ValueError("not enough collocation points")
 
     newman = _cot_block(pts, poles)
-    t = _runge_coordinate(pts)
-    Q, H = _arnoldi_basis(t, n_runge)
-    basis = np.hstack([newman, Q])
+    Q, H = _arnoldi_basis(_runge_coordinate(pts), n_runge)
+    # Unknowns [Re(coef) | Im(coef)] without Re(b_0): Im[Re(b_0) q_0] = 0 for
+    # the real constant column q_0, so Re(b_0) is pure gauge.  Fortran order
+    # sums each column norm down a contiguous column; C order rounds the norms
+    # differently, which moves the coefficients by about 1e-12 of their norm.
+    A = np.empty((len(pts), 2 * n - 1), order="F")
+    A[:, :n1] = newman.imag
+    A[:, n1:n - 1] = Q[:, 1:].imag
+    A[:, n - 1:n - 1 + n1] = newman.real
+    A[:, n - 1 + n1:] = Q.real
 
-    # Unknown layout: [Re(coef) | Im(coef)]; Im[Re(b_0) * q_0] = 0 for the
-    # real constant column q_0, so Re(b_0) is pure gauge and is dropped.
-    re_block = np.hstack([basis.imag, basis.real])
-    keep = np.ones(re_block.shape[1], dtype=bool)
-    keep[n1] = False
-    re_block = re_block[:, keep]
-
-    norms = np.linalg.norm(re_block, axis=0)
+    norms = np.linalg.norm(A, axis=0)
     norms[norms == 0.0] = 1.0
-    scaled = re_block / norms
-    sol, _, rank, _ = np.linalg.lstsq(scaled, rhs, rcond=None)
-    if rank < scaled.shape[1]:
+    A /= norms
+    sol, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
+    if rank < A.shape[1]:
         raise ValueError(
-            f"rank-deficient lightning system: rank {rank} < {scaled.shape[1]} columns"
+            f"rank-deficient lightning system: rank {rank} < {A.shape[1]} columns"
         )
-    resid = float(np.max(np.abs(scaled @ sol - rhs)))
+    resid = float(np.max(np.abs(A @ sol - rhs)))
 
-    full = np.zeros(2 * (n1 + n_runge + 1))
-    full[keep] = sol / norms
-    coefs = full[: n1 + n_runge + 1] + 1j * full[n1 + n_runge + 1 :]
+    full = np.insert(sol / norms, n1, 0.0)
+    coefs = full[:n] + 1j * full[n:]
     return LightningModel(poles, coefs[:n1], coefs[n1:], H, resid)
 
 

@@ -134,21 +134,22 @@ def _polished(form, cands: np.ndarray) -> np.ndarray:
 def poles_and_zeros(model: TrigModel) -> PoleZeroReport:
     """Locate all poles and zeros of the model in the canonical strip.
 
-    Builds the generalized eigenvalue pencils from the transformed model
-    (denominator data for poles, numerator data for zeros), keeps the
-    finite eigenvalues passing the residual check in zeta, and maps those
-    back to the strip.  Both parities share the one zeta = e^{iz} pencil, so
-    no strip point needs a separate test.
+    Builds the generalized eigenvalue pencil in zeta of one coefficient
+    vector on the support (the weights for poles, the weights times the
+    values for zeros), keeps the finite eigenvalues passing the residual
+    check in zeta, and maps those back to the strip.  Both parities share
+    the one zeta = e^{iz} pencil, so no strip point needs a separate test.
     """
     if model.m < 2:
         raise ValueError("pole extraction needs m >= 2")
-    poles = _roots(model, use_numerator=False)
-    zeros = _roots(model, use_numerator=True)
+    poles = _roots(model, model.weights)
+    zeros = _roots(model, model.weights * model.fvals)
     return PoleZeroReport(poles, zeros, _residues_unchecked(model, poles), _pf_constant(model))
 
 
-def _roots(model: TrigModel, use_numerator: bool) -> np.ndarray:
-    """The verified poles (denominator) or zeros (numerator), sorted.
+def _roots(model: TrigModel, coeff: np.ndarray) -> np.ndarray:
+    """The verified roots of sum_j coeff_j cst((z - z_j)/2), sorted: the poles
+    for coeff = weights, the zeros for coeff = weights * fvals.
 
     Eigenvalues with |lambda| below 1e-13 or above 1e13, next to the
     branch points 0 and infinity of zeta = e^{iz}, sit below eigenvalue
@@ -156,14 +157,9 @@ def _roots(model: TrigModel, use_numerator: bool) -> np.ndarray:
     not strip points.  The rest are polished and checked in lambda, and only
     the verified ones are mapped back to z.
     """
-    zeta_j, a, c = form = _zeta_form(model, 1.0, model.weights)
-    f = model.fvals
-    # transform's heads and payloads: the pencil is the one it describes.
-    head, payload = (np.sum(f * c), f * a) if use_numerator else (np.sum(c), a)
-    lam = generalized_eig_arrow(arrowhead_matrix(head, payload, zeta_j)).finite_eigenvalues
+    zeta_j, a, c = form = _zeta_form(model, 1.0, coeff)
+    lam = generalized_eig_arrow(arrowhead_matrix(np.sum(c), a, zeta_j)).finite_eigenvalues
     lam = lam[(np.abs(lam) > 1e-13) & (np.abs(lam) < 1e13)]
-    if use_numerator:
-        form = _zeta_form(model, 1.0, model.weights * f)
     lam = _polished(form, lam)
     total, _, ref, _ = _zeta_sum(form, lam)
     # A candidate may sit within rounding of a node; nudge it off by
@@ -234,7 +230,7 @@ def partial_fractions(model: TrigModel) -> PartialFractions:
         return PartialFractions(
             np.zeros(0, dtype=complex), np.zeros(0, dtype=complex), complex(model.fvals[0])
         )
-    poles = _roots(model, use_numerator=False)
+    poles = _roots(model, model.weights)
     q = residues(model, poles) / 2.0
     d = strip_distance(poles[:, None], poles[None, :])
     d[np.eye(len(d), dtype=bool)] = np.inf

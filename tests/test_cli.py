@@ -405,6 +405,35 @@ class TestCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("aaatrig: error: ")
 
+    @pytest.mark.parametrize("command, name, body", [
+        ("eval", "m.json", b'{"schema_version": 1,'),
+        ("eval", "m.json", {"scale": "x"}),
+        ("eval", "m.json", {"parity": "sideways"}),
+        ("eval", "m.json", b'{"schema_version": 1, \xff}'),
+        ("eval", "p.csv", b"re_z,im_z\n0.5,0.0\xff\n"),
+        ("fit", "d.csv", b"re_z,im_z,re_f,im_f\n1.0,0.0,\xff1.0,0.0\n"),
+        ("fit", "d.json", b'{"points": [[1.0, 0.0]],'),
+    ], ids=["model-not-json", "model-text-scale", "model-unknown-parity", "model-not-utf8",
+            "points-csv-not-utf8", "samples-csv-not-utf8", "samples-json-not-json"])
+    def test_unparsable_file_error_names_it(self, tmp_path, capsys, command, name, body):
+        path = tmp_path / name
+        model = tmp_path / "m.json"
+        doc = model_to_dict(TrigModel.build(Parity.ODD, [0.0, np.pi], [1.0, -1.0], [1.0, 1.0]))
+        model.write_text(json.dumps(doc))
+        (tmp_path / "p.csv").write_text("re_z,im_z\n0.5,0.0\n")
+        if isinstance(body, dict):
+            path.write_text(json.dumps({**doc, **body}))
+        else:
+            path.write_bytes(body)
+        if command == "eval":
+            argv = ["eval", "--model", str(model), "--points", str(tmp_path / "p.csv")]
+        else:
+            argv = ["fit", "--data", str(path), "--format", path.suffix[1:]]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("aaatrig: error: ")
+        assert err[0].count(str(path)) == 1
+
     def test_memory_error_exit_code(self, tmp_path, capsys, monkeypatch):
         from aaatrig import solver
 

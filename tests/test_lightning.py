@@ -64,7 +64,41 @@ class TestArnoldi:
         assert np.max(np.abs(W - Q)) < 1e-9
 
 
+def masked_assembly_solve(points, targets, poles, n_runge):
+    """Reference for solve_dirichlet: the complex basis, its [Im | Re] real
+    columns, the gauge column Re(b_0) masked out, then the columns scaled;
+    returns (coefficients, Hessenberg data, residual)."""
+    newman = _cot_block(points, poles)
+    Q, H = lt._arnoldi_basis(lt._runge_coordinate(points), n_runge)
+    basis = np.hstack([newman, Q])
+    n = basis.shape[1]
+    re_block = np.hstack([basis.imag, basis.real])
+    keep = np.ones(2 * n, dtype=bool)
+    keep[len(poles)] = False
+    re_block = re_block[:, keep]
+    norms = np.linalg.norm(re_block, axis=0)
+    norms[norms == 0.0] = 1.0
+    scaled = re_block / norms
+    sol = np.linalg.lstsq(scaled, targets, rcond=None)[0]
+    full = np.zeros(2 * n)
+    full[keep] = sol / norms
+    return full[:n] + 1j * full[n:], H, float(np.max(np.abs(scaled @ sol - targets)))
+
+
 class TestSolve:
+    @pytest.mark.parametrize("per_corner, n_runge", [(12, 8), (30, 12)])
+    def test_matches_the_masked_assembly_bitwise(self, per_corner, n_runge):
+        poles = lt.place_poles(per_corner)
+        pts = lt.collocation_points(per_corner)
+        targets = lt.flow_targets(pts)
+        model = lt.solve_dirichlet(pts, targets, poles, n_runge)
+        coefs, H, resid = masked_assembly_solve(pts, targets, poles, n_runge)
+        got = np.concatenate([model.newman_coeffs, model.runge_coeffs])
+        assert got.tobytes() == coefs.tobytes()
+        assert model.arnoldi_hessenberg.tobytes() == H.tobytes()
+        assert model.boundary_residual == resid
+        assert model.runge_coeffs[0].real == 0.0
+
     def test_zero_boundary_data(self):
         pts = lt.collocation_points(8)
         model = lt.solve_dirichlet(pts, np.zeros(len(pts)), lt.place_poles(8), 6)

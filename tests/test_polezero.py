@@ -155,6 +155,11 @@ class TestCrossFormulationOracle:
             if len(rep.zeros):
                 total, ref = barycentric_sum(model, rep.zeros, use_numerator=True)
                 assert np.all(np.abs(total) <= 1e-6 * ref)
+            # The zeros are the roots of the coefficient vector weights * fvals,
+            # which a model with those weights has as its poles.
+            numerator = TrigModel.build(parity, model.support, model.fvals,
+                                        model.weights * model.fvals)
+            assert match_point_sets(rep.zeros, poles_and_zeros(numerator).poles, 1e-12)
 
     def test_zeros_are_reciprocal_poles(self):
         rng = np.random.default_rng(44)

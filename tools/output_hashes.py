@@ -13,7 +13,9 @@ every benchmark result unchanged.
 What is hashed: arrays by dtype, shape and bytes; dataclasses field by
 field; lists and tuples item by item; other scalars by repr; an exception
 as ``Type: message``.  For cli operations the output is run_cli's (status,
-stdout, stderr) followed by every file in the work directory, by name.
+stdout, stderr) followed by the files of the work directory, by name, that
+the operation created or whose bytes it changed, so each line hashes its
+command's own output.
 """
 
 from __future__ import annotations
@@ -55,9 +57,9 @@ def feed(h, obj) -> None:
         h.update(f"{type(obj).__name__} {obj!r}\n".encode())
 
 
-def workdir_files(workdir: Path) -> list:
-    return [(str(p.relative_to(workdir)), p.read_bytes())
-            for p in sorted(workdir.rglob("*")) if p.is_file()]
+def workdir_files(workdir: Path) -> dict:
+    return {str(p.relative_to(workdir)): p.read_bytes()
+            for p in sorted(workdir.rglob("*")) if p.is_file()}
 
 
 def operation_hashes(name: str, seed: int, size: dict):
@@ -67,12 +69,14 @@ def operation_hashes(name: str, seed: int, size: dict):
         workdir = Path(tmp)
         ops = workload.ops(workload.setup(seed, workdir, size))
         for op in ops:
+            before = workdir_files(workdir) if name == "cli" else {}
             try:
                 out = op.run()
             except Exception as exc:
                 out = f"{type(exc).__name__}: {exc}"
             if name == "cli":
-                out = (out, workdir_files(workdir))
+                out = (out, [(path, data) for path, data in workdir_files(workdir).items()
+                             if before.get(path) != data])
             h = hashlib.sha256()
             feed(h, out)
             yield op.name, h.hexdigest()
