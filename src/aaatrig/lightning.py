@@ -189,6 +189,8 @@ def solve_dirichlet(points, targets, poles, n_runge: int) -> LightningModel:
     poles = np.asarray(poles, dtype=complex)
     n1 = len(poles)
     n = n1 + n_runge + 1
+    if n_runge < 0:
+        raise ValueError("n_runge must be nonnegative")
     if len(pts) < 2 * n:
         raise ValueError("not enough collocation points")
 

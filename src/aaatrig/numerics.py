@@ -1,7 +1,7 @@
 """Dense linear-algebra kernels: smallest-singular-direction solves (an
 R-only Householder QR and the SVD of R), optionally subject to linear
 equality constraints held by the null-space method, and generalized
-eigenproblems with infinite-eigenvalue filtering."""
+eigenproblems, the arrowhead pencil built from its parts among them."""
 
 from __future__ import annotations
 
@@ -118,42 +118,17 @@ def generalized_eig(A, B) -> GepResult:
     return GepResult(lam[order], int(len(alpha) - len(lam)))
 
 
-def generalized_eig_arrow(A) -> GepResult:
-    """Finite eigenvalues of the arrowhead pencil A v = lambda B v.
+def generalized_eig_arrow(head, payload, shifts) -> GepResult:
+    """Finite eigenvalues of the arrowhead pencil A v = lambda B v built from
+    its parts, the head, the payload row and the shifts:
 
-    A must have the shape
+        A = [ head  payload_1 ... payload_m ]    B = diag(0, 1, ..., 1)
+            [ 1     shift_1               ]
+            [ ...            ...          ]
+            [ 1                  shift_m  ]
 
-        [ head  payload_1 ... payload_m ]
-        [ 1     shift_1               ]
-        [ ...            ...          ]
-        [ 1                  shift_m  ]
-
-    and B is the fixed mass matrix diag(0, 1, ..., 1) of
-    :func:`arrow_mass_matrix`.  Raises "not arrowhead" on any structure
-    violation of A.
+    For m = 0 the 1x1 pencil (head, 0) has no finite eigenvalue.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
-    n = A.shape[0]
-    if A.shape != (n, n) or n < 2:
-        raise ValueError("not arrowhead")
-    body = A[1:, 1:]
-    if (
-        np.any(A[1:, 0] != 1.0)
-        or np.any(body[~np.eye(n - 1, dtype=bool)] != 0.0)
-    ):
-        raise ValueError("not arrowhead")
-    return generalized_eig(A, arrow_mass_matrix(n))
-
-
-def arrow_mass_matrix(n: int) -> np.ndarray:
-    """diag(0, 1, ..., 1) of size n."""
-    B = np.eye(n, dtype=complex)
-    B[0, 0] = 0.0
-    return B
-
-
-def arrowhead_matrix(head, payload, shifts) -> np.ndarray:
-    """Assemble the arrowhead A-matrix from its head, payload row and shifts."""
     payload = np.asarray(payload, dtype=complex)
     shifts = np.asarray(shifts, dtype=complex)
     m = len(payload)
@@ -164,4 +139,6 @@ def arrowhead_matrix(head, payload, shifts) -> np.ndarray:
     A[0, 1:] = payload
     A[1:, 0] = 1.0
     A[1:, 1:] = np.diag(shifts)
-    return A
+    B = np.eye(m + 1, dtype=complex)
+    B[0, 0] = 0.0
+    return generalized_eig(A, B)

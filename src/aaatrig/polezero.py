@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import arrowhead_matrix, generalized_eig_arrow
+from .numerics import generalized_eig_arrow
 from .trigbary import (
     Parity,
     TrigModel,
@@ -158,7 +158,7 @@ def _roots(model: TrigModel, coeff: np.ndarray) -> np.ndarray:
     the verified ones are mapped back to z.
     """
     zeta_j, a, c = form = _zeta_form(model, 1.0, coeff)
-    lam = generalized_eig_arrow(arrowhead_matrix(np.sum(c), a, zeta_j)).finite_eigenvalues
+    lam = generalized_eig_arrow(np.sum(c), a, zeta_j).finite_eigenvalues
     lam = lam[(np.abs(lam) > 1e-13) & (np.abs(lam) < 1e13)]
     lam = _polished(form, lam)
     total, _, ref, _ = _zeta_sum(form, lam)

@@ -41,6 +41,14 @@ class TestPlacePoles:
         with pytest.raises(ValueError, match="per_corner must be positive"):
             lt.place_poles(0)
 
+    def test_n_runge_must_be_nonnegative(self):
+        pts = lt.collocation_points(4)
+        with pytest.raises(ValueError, match="n_runge must be nonnegative"):
+            lt.solve_dirichlet(pts, lt.flow_targets(pts), lt.place_poles(4), -1)
+        with pytest.raises(ValueError, match="n_runge must be nonnegative"):
+            lt.solve_flow_demo(4, -2)
+        assert lt.solve_flow_demo(4, 0).n_runge == 1
+
     @pytest.mark.parametrize("per_corner", [1, 12, 61, 93])
     def test_demo_poles_inside_obstacle(self, per_corner):
         poles = lt.place_poles(per_corner)
@@ -135,6 +143,13 @@ class TestSolve:
         pts = lt.boundary_points(10)
         with pytest.raises(ValueError, match="collocation"):
             lt.solve_dirichlet(pts, np.zeros(len(pts)), lt.place_poles(8), 6)
+
+    def test_repeated_pole_is_rank_deficient(self):
+        # The copied pole repeats a column in both the real and imaginary halves.
+        poles = lt.place_poles(4)
+        pts = lt.collocation_points(4)
+        with pytest.raises(ValueError, match="rank 25 < 27 columns"):
+            lt.solve_dirichlet(pts, lt.flow_targets(pts), np.append(poles, poles[0]), 4)
 
 
 class TestEvaluate:

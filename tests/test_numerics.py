@@ -3,15 +3,15 @@ import pytest
 import scipy.linalg
 
 from aaatrig.numerics import (
-    arrow_mass_matrix,
-    arrowhead_matrix,
     constrained_min_singular_direction,
     generalized_eig,
     generalized_eig_arrow,
     min_singular_direction,
 )
 
-from conftest import constrained_svd_direction, thin_svd_direction
+from aaatrig.trigbary import Parity, _zeta_form
+
+from conftest import constrained_svd_direction, random_model, thin_svd_direction
 
 
 def random_complex(rng, *shape):
@@ -161,21 +161,39 @@ class TestConstrainedMinSingularDirection:
             constrained_min_singular_direction(np.eye(3), [[np.inf, 0.0, 1.0]])
 
 
+def dense_arrow_pencil(head, payload, shifts):
+    """A = [[head, payload], [1, diag(shifts)]] and B = diag(0, 1, ..., 1)."""
+    m = len(payload)
+    A = np.zeros((m + 1, m + 1), dtype=complex)
+    A[0, 0] = head
+    A[0, 1:] = payload
+    A[1:, 0] = 1.0
+    A[1:, 1:] = np.diag(shifts)
+    B = np.eye(m + 1, dtype=complex)
+    B[0, 0] = 0.0
+    return A, B
+
+
 class TestGeneralizedEigArrow:
     def test_zero_head_single_payload(self):
         # det(A - lambda*B) = -1 identically: no finite eigenvalues.
-        A = arrowhead_matrix(0.0, [1.0], [0.0])
-        res = generalized_eig_arrow(A)
+        res = generalized_eig_arrow(0.0, [1.0], [0.0])
         assert len(res.finite_eigenvalues) == 0
         assert res.discarded_count == 2
 
     def test_nonzero_head_single_payload(self):
         # det = -c*lambda - 1, root at -1/c (hand-solved 2x2 determinant).
         for c in (2.0, 1.5 - 0.5j):
-            A = arrowhead_matrix(c, [1.0], [0.0])
-            res = generalized_eig_arrow(A)
+            res = generalized_eig_arrow(c, [1.0], [0.0])
             assert len(res.finite_eigenvalues) == 1
             assert abs(res.finite_eigenvalues[0] - (-1.0 / c)) < 1e-14
+
+    def test_empty_payload_is_the_one_by_one_pencil(self):
+        # A = [head], B = [0]: beta = 0, so the one eigenvalue is infinite.
+        for head in (0.0, 2.0 - 1j):
+            res = generalized_eig_arrow(head, [], [])
+            assert len(res.finite_eigenvalues) == 0
+            assert res.discarded_count == 1
 
     def test_odd_pole_pencil_worked_example(self):
         # Support {0, pi}, w prop {1, 1}: denominator root at zhat = i,
@@ -183,7 +201,7 @@ class TestGeneralizedEigArrow:
         w = np.asarray([1.0, 1.0]) / np.sqrt(2.0)
         zhat = np.exp(1j * np.asarray([0.0, np.pi]))
         what = w * np.exp(1j * np.asarray([0.0, np.pi]) / 2.0)
-        res = generalized_eig_arrow(arrowhead_matrix(0.0, what, zhat))
+        res = generalized_eig_arrow(0.0, what, zhat)
         assert len(res.finite_eigenvalues) == 1
         assert res.discarded_count == 2
         assert abs(res.finite_eigenvalues[0] - 1j) < 1e-13
@@ -198,40 +216,41 @@ class TestGeneralizedEigArrow:
     def test_eigenvalue_residuals(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            A = arrowhead_matrix(
-                complex(random_complex(rng)),
-                random_complex(rng, 4),
-                random_complex(rng, 4),
-            )
-            B = arrow_mass_matrix(5)
-            res = generalized_eig_arrow(A)
+            parts = complex(random_complex(rng)), random_complex(rng, 4), random_complex(rng, 4)
+            A, B = dense_arrow_pencil(*parts)
+            res = generalized_eig_arrow(*parts)
             assert res.discarded_count >= 1
             for lam in res.finite_eigenvalues:
                 smin = scipy.linalg.svdvals(A - lam * B)[-1]
                 assert smin <= 1e-8 * np.linalg.norm(A)
 
+    def test_matches_the_dense_pencil_bitwise(self):
+        # The zeta forms of the pole and zero sums of both parities, as pole
+        # extraction passes them, and random complex parts.
+        rng = np.random.default_rng(11)
+        cases = []
+        for parity in (Parity.ODD, Parity.EVEN):
+            for m in (2, 5, 9):
+                model = random_model(rng, m, parity)
+                for coeff in (model.weights, model.weights * model.fvals):
+                    zeta_j, a, c = _zeta_form(model, 1.0, coeff)
+                    cases.append((np.sum(c), a, zeta_j))
+        for m in (1, 3, 7):
+            head = complex(random_complex(rng))
+            cases.append((head, random_complex(rng, m), random_complex(rng, m)))
+        for parts in cases:
+            got = generalized_eig_arrow(*parts)
+            want = generalized_eig(*dense_arrow_pencil(*parts))
+            assert np.array_equal(got.finite_eigenvalues, want.finite_eigenvalues)
+            assert got.discarded_count == want.discarded_count
+
     def test_sorted_output(self):
         rng = np.random.default_rng(10)
-        A = arrowhead_matrix(1.0, random_complex(rng, 6), random_complex(rng, 6))
-        lam = generalized_eig_arrow(A).finite_eigenvalues
+        res = generalized_eig_arrow(1.0, random_complex(rng, 6), random_complex(rng, 6))
+        lam = res.finite_eigenvalues
         key = np.lexsort((lam.imag, lam.real))
         assert np.array_equal(key, np.arange(len(lam)))
 
     def test_arrowhead_lengths_must_match(self):
         with pytest.raises(ValueError, match="share length"):
-            arrowhead_matrix(0.0, [1.0, 2.0], [3.0])
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="not arrowhead"):
-            generalized_eig_arrow(np.ones((2, 3), dtype=complex))
-
-    def test_structure_violation(self):
-        A = arrowhead_matrix(0.0, [1.0, 2.0], [3.0, 4.0])
-        bad = A.copy()
-        bad[2, 1] = 5.0
-        with pytest.raises(ValueError, match="not arrowhead"):
-            generalized_eig_arrow(bad)
-        bad2 = A.copy()
-        bad2[1, 0] = 2.0
-        with pytest.raises(ValueError, match="not arrowhead"):
-            generalized_eig_arrow(bad2)
+            generalized_eig_arrow(0.0, [1.0, 2.0], [3.0])

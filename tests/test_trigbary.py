@@ -356,6 +356,7 @@ class TestSampleSet:
 
     def test_points_in_strip(self):
         ss = SampleSet.from_data([-1.0, 9.0, 3.0], [1.0, 2.0, 3.0])
+        assert len(ss) == ss.size == 3
         assert np.all(ss.points.real >= 0.0)
         assert np.all(ss.points.real < TWO_PI)
 
