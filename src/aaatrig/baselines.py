@@ -66,7 +66,7 @@ def evaluate_aaa(model: AaaModel, zs) -> np.ndarray:
     """Evaluate the classic barycentric rational elementwise, by blocks of zs as given."""
     # Cauchy weights w_j and no heads; a support hit is |z - z_j| < SUPPORT_TOL.
     return by_blocks(lambda z: barycentric_ratio(z[:, None] - model.support, 1.0, model.weights,
-                                                 0.0, model.fvals), zs, model.m)
+                                                 0.0, 0.0, model.fvals), zs, model.m)
 
 
 def fft_interpolant(samples: SampleSet) -> FourierInterpolant:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trigbary import TrigModel, _cauchy_sum, _zeta_form, blockwise
+from .trigbary import TrigModel, _cauchy_sum, blockwise
 
 MAX_ORDER = 4
 
@@ -63,7 +63,7 @@ def diff_matrix(model: TrigModel, p: int) -> DiffMatrix:
         raise ValueError("derivative order must be positive")
     if p > MAX_ORDER:
         raise ValueError("unsupported order")
-    zeta, a, c = _zeta_form(model, 1.0, model.weights)
+    zeta, a, c = model._zeta(1.0)[:3]
     off = ~np.eye(model.m, dtype=bool)
     delta = zeta[:, None] - zeta
     inv = np.zeros_like(delta)
@@ -87,11 +87,12 @@ def derivative_at(model: TrigModel, z, p: int):
 
     A scalar z gives a complex, an array z an array of its shape.  With
     zeta = e^{isz} and s the sign of Im z, the model is a classical
-    barycentric rational R(zeta) (trigbary._zeta_form).  One divided-difference
-    pass per order gives R^{(k)}/k!, at O(N m p) for N points; every sum is
-    taken per point, so a point's derivative does not depend on the batch
-    it is in.  Points within 1e-8 of a support point must use
-    :func:`diff_matrix` instead; any such point raises.
+    barycentric rational R(zeta) (trigbary._zeta_form, built once per
+    half-plane by the model).  One divided-difference pass per order gives
+    R^{(k)}/k!, at O(N m p) for N points; every sum is taken per point, so a
+    point's derivative does not depend on the batch it is in.  Points within
+    1e-8 of a support point must use :func:`diff_matrix` instead; any such
+    point raises.
     """
     if p < 1:
         raise ValueError("derivative order must be positive")
@@ -104,12 +105,12 @@ def derivative_at(model: TrigModel, z, p: int):
 def _derivative_block(model, s, zc, p):
     # Schneider & Werner: with d_j = R[zeta^(k), zeta_j] and T_k = R^{(k)}/k!,
     # d_j <- (T_{k-1} - d_j)/(zeta - zeta_j) and T_k = sum_j a_j d_j/(zeta - zeta_j) / D.
-    zeta_j, a, c = _zeta_form(model, s, model.weights)
+    zeta_j, a, _, abs_zeta, c_sum, cf_sum = model._zeta(s)
     zeta = np.exp(s * 1j * zc)
     diff = zeta[:, None] - zeta_j
-    if (np.abs(diff) < SUPPORT_GUARD * np.abs(zeta_j)).any():
+    if np.count_nonzero(np.abs(diff) < SUPPORT_GUARD * abs_zeta):
         raise ValueError("too close to a support point; use diff_matrix")
-    cauchy, den, t = _cauchy_sum(diff, a, c, model.fvals)
+    cauchy, den, t = _cauchy_sum(diff, a, c_sum, cf_sum, model.fvals)
     d = model.fvals
     taylor = []
     for _ in range(p):

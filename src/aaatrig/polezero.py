@@ -86,9 +86,8 @@ class PartialFractions:
 
 def transform(model: TrigModel) -> TransformedBarycentric:
     """Substitute zeta = e^{iz} to reach ordinary barycentric form."""
-    zeta, a, c = _zeta_form(model, 1.0, model.weights)
-    f = model.fvals
-    return TransformedBarycentric(zeta, a, f, complex(np.sum(f * c)), complex(np.sum(c)))
+    zeta, a, _, _, c_sum, cf_sum = model._zeta(1.0)
+    return TransformedBarycentric(zeta, a, model.fvals, complex(cf_sum), complex(c_sum))
 
 
 def _zeta_sum(form, lam: np.ndarray):
@@ -142,14 +141,15 @@ def poles_and_zeros(model: TrigModel) -> PoleZeroReport:
     """
     if model.m < 2:
         raise ValueError("pole extraction needs m >= 2")
-    poles = _roots(model, model.weights)
-    zeros = _roots(model, model.weights * model.fvals)
+    poles = _roots(model._zeta(1.0)[:3])
+    zeros = _roots(_zeta_form(model, 1.0, model.weights * model.fvals))
     return PoleZeroReport(poles, zeros, _residues_unchecked(model, poles), _pf_constant(model))
 
 
-def _roots(model: TrigModel, coeff: np.ndarray) -> np.ndarray:
-    """The verified roots of sum_j coeff_j cst((z - z_j)/2), sorted: the poles
-    for coeff = weights, the zeros for coeff = weights * fvals.
+def _roots(form) -> np.ndarray:
+    """The verified roots of sum_j coeff_j cst((z - z_j)/2), sorted, from the
+    :func:`_zeta_form` of coeff with s = 1: poles for coeff = weights, zeros
+    for coeff = weights * fvals.
 
     Eigenvalues with |lambda| below 1e-13 or above 1e13, next to the
     branch points 0 and infinity of zeta = e^{iz}, sit below eigenvalue
@@ -157,7 +157,7 @@ def _roots(model: TrigModel, coeff: np.ndarray) -> np.ndarray:
     not strip points.  The rest are polished and checked in lambda, and only
     the verified ones are mapped back to z.
     """
-    zeta_j, a, c = form = _zeta_form(model, 1.0, coeff)
+    zeta_j, a, c = form
     lam = generalized_eig_arrow(np.sum(c), a, zeta_j).finite_eigenvalues
     lam = lam[(np.abs(lam) > 1e-13) & (np.abs(lam) < 1e13)]
     lam = _polished(form, lam)
@@ -191,7 +191,7 @@ def _quotient_parts(model: TrigModel, poles):
     """
     lam = np.exp(1j * np.asarray(poles, dtype=complex))
     num, _, _, _ = _zeta_sum(_zeta_form(model, 1.0, model.weights * model.fvals), lam)
-    den, dden, _, dref = _zeta_sum(_zeta_form(model, 1.0, model.weights), lam)
+    den, dden, _, dref = _zeta_sum(model._zeta(1.0)[:3], lam)
     dlog_h = 0.5j if model.parity is Parity.ODD else 0.0
     return num, dlog_h * den + 1j * lam * dden, np.abs(lam) * dref
 
@@ -230,7 +230,7 @@ def partial_fractions(model: TrigModel) -> PartialFractions:
         return PartialFractions(
             np.zeros(0, dtype=complex), np.zeros(0, dtype=complex), complex(model.fvals[0])
         )
-    poles = _roots(model, model.weights)
+    poles = _roots(model._zeta(1.0)[:3])
     q = residues(model, poles) / 2.0
     d = strip_distance(poles[:, None], poles[None, :])
     d[np.eye(len(d), dtype=bool)] = np.inf

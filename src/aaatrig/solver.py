@@ -271,7 +271,7 @@ def cleanup(model: TrigModel, samples: SampleSet, config: FitConfig) -> TrigMode
     """
     if model.m < 2:
         return model
-    poles = polezero._roots(model, model.weights)
+    poles = polezero._roots(model._zeta(1.0)[:3])
     # No pole, or a non-finite residue, marks nothing: the comparison is False.
     res = polezero._residues_unchecked(model, poles)
     small = np.abs(res) < config.cleanup_tol * model.scale

@@ -212,6 +212,23 @@ class TrigModel:
     def m(self) -> int:
         return len(self.support)
 
+    def _zeta(self, s: float):
+        """(zeta_j, a_j, c_j, |zeta_j|, sum_j c_j, sum_j c_j f_j): the model's own
+        :func:`_zeta_form` in the half-plane of sign s, its arrays read-only.
+
+        Built on first use in that half-plane only, as e^{isz_j} may overflow
+        in the other, and kept in the instance __dict__, not in a field.
+        """
+        key = "_zeta_up" if s > 0 else "_zeta_down"
+        if key not in self.__dict__:
+            zeta_j, a, c = _zeta_form(self, s, self.weights)
+            arrays = (zeta_j, a, c, np.abs(zeta_j))
+            for arr in arrays:
+                arr.flags.writeable = False
+            self.__dict__[key] = arrays + (np.add.reduce(c, axis=None),
+                                           np.add.reduce(c * self.fvals, axis=None))
+        return self.__dict__[key]
+
     @classmethod
     def build(cls, parity: Parity, support, fvals, weights, **kwargs) -> "TrigModel":
         """Construct from raw data: canonicalizes support, normalizes weights."""
@@ -238,26 +255,33 @@ def evaluate_batch(model: TrigModel, zs) -> np.ndarray:
     """Elementwise evaluation preserving input order.
 
     Each point is evaluated as the classical barycentric rational of
-    :func:`_zeta_form` in zeta = e^{isz}, with s the sign of Im z.  A point's
-    value does not depend on the batch it is in.
+    :func:`_zeta_form` in zeta = e^{isz}, with s the sign of Im z, which the
+    model builds once per half-plane (TrigModel._zeta).  A point's value does
+    not depend on the batch it is in.
     """
 
     def block(s, zc):
-        zeta_j, a, c = _zeta_form(model, s, model.weights)
+        zeta_j, a, _, abs_zeta, c_sum, cf_sum = model._zeta(s)
         diff = np.exp(s * 1j * zc)[:, None] - zeta_j
         # |zeta - zeta_j| / |zeta_j| is |z - z_j| to first order, over the
         # 2*pi shifts.
-        return barycentric_ratio(diff, np.abs(zeta_j), a, c, model.fvals)
+        return barycentric_ratio(diff, abs_zeta, a, c_sum, cf_sum, model.fvals)
 
     return blockwise(block, zs, model.m)
 
 
 def by_blocks(fn, zs, width: int) -> np.ndarray:
-    """fn on the points of zs, EVAL_CELLS // width (at least 1) at a time; shaped as zs."""
+    """fn on the points of zs, EVAL_CELLS // width (at least 1) at a time; shaped as zs.
+
+    Points that fit one block give fn's result reshaped, with no copy; an
+    empty zs never reaches fn.
+    """
     zs = np.asarray(zs, dtype=complex)
     flat = zs.reshape(-1)
-    out = np.empty_like(flat)
     step = max(1, EVAL_CELLS // max(1, width))
+    if 0 < flat.size <= step:
+        return fn(flat).reshape(zs.shape)
+    out = np.empty_like(flat)
     for start in range(0, flat.size, step):
         out[start:start + step] = fn(flat[start:start + step])
     return out.reshape(zs.shape)
@@ -273,7 +297,7 @@ def blockwise(fn, zs, width: int) -> np.ndarray:
     would move them by about k * 2.4e-16.  Raises on non-finite points.
     """
     zs = np.asarray(zs, dtype=complex)
-    if not np.isfinite(zs).all():
+    if np.count_nonzero(np.isfinite(zs)) != zs.size:
         raise ValueError("non-finite point")
 
     def block(chunk):
@@ -298,7 +322,8 @@ def _zeta_form(model, s, weights):
     1 + 2 zeta_j/(zeta - zeta_j), so even parity has a_j = 2 w_j zeta_j and
     c_j = w_j, a node at infinity of weight sum_j w_j.  The w_j are the
     given weights, which may be the model's or any coefficients on its
-    support.  At zeta = 0 both kernels reach the far-field limit.
+    support.  At zeta = 0 both kernels reach the far-field limit.  The model
+    keeps the form of its own weights (TrigModel._zeta) for every reader.
     """
     zeta_j = np.exp(s * 1j * model.support)
     if model.parity is Parity.ODD:
@@ -306,7 +331,7 @@ def _zeta_form(model, s, weights):
     return zeta_j, 2.0 * weights * zeta_j, weights
 
 
-def barycentric_ratio(diff, scale, a, c, fvals) -> np.ndarray:
+def barycentric_ratio(diff, scale, a, c_sum, cf_sum, fvals) -> np.ndarray:
     """The value of :func:`_cauchy_sum` per row, with the rules for a hit.
 
     diff holds each point's difference to each node.  A row with
@@ -315,24 +340,25 @@ def barycentric_ratio(diff, scale, a, c, fvals) -> np.ndarray:
     """
     near = np.abs(diff) < SUPPORT_TOL * scale
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, den, out = _cauchy_sum(diff, a, c, fvals)
+        _, den, out = _cauchy_sum(diff, a, c_sum, cf_sum, fvals)
     out[den == 0.0] = POLE_VALUE
-    hit = near.any(axis=1)
-    if hit.any():
+    if np.count_nonzero(near):
+        hit = near.any(axis=1)
         out[hit] = fvals[np.argmax(near[hit], axis=1)]
     return out
 
 
-def _cauchy_sum(diff, a, c, f):
+def _cauchy_sum(diff, a, c_sum, cf_sum, f):
     """Terms a_j/diff_j, denominator and value of a barycentric rational per row.
 
-    Row i's value is sum_j (a_j/diff_ij + c_j) f_j / sum_j (a_j/diff_ij + c_j).
-    No product or sum mixes rows, so a point's value does not depend on the
-    batch it is in.  The sums over c are np.sum's reduction, called directly.
+    Row i's value is (cf_sum + sum_j a_j f_j/diff_ij) / (c_sum + sum_j a_j/diff_ij),
+    with the head sums c_sum = sum_j c_j and cf_sum = sum_j c_j f_j.  No
+    product or sum mixes rows, so a point's value does not depend on the
+    batch it is in.
     """
     cauchy = a / diff
-    den = np.add.reduce(c, axis=None) + np.einsum("ij->i", cauchy)
-    return cauchy, den, (np.add.reduce(c * f, axis=None) + np.einsum("ij,j->i", cauchy, f)) / den
+    den = c_sum + np.einsum("ij->i", cauchy)
+    return cauchy, den, (cf_sum + np.einsum("ij,j->i", cauchy, f)) / den
 
 
 def far_field(model: TrigModel) -> FarField:

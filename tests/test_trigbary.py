@@ -1,4 +1,6 @@
+import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from aaatrig.trigbary import (
     SampleSet,
     TrigModel,
     TWO_PI,
+    _zeta_form,
     canonicalize,
     cst,
     evaluate,
@@ -478,3 +481,94 @@ def test_points_many_periods_out_keep_their_accuracy(tanh_odd_fit, periods):
     assert np.max(np.abs(evaluate_batch(tanh_odd_fit, z) - t)) <= 1e-13
     dt = -60.0 * np.sin(z) * (1.0 - t * t)
     assert np.max(np.abs(derivative_at(tanh_odd_fit, z, 1) - dt)) <= 1e-10
+
+
+def lazy_model(parity):
+    # e^{iz_j} at z_j = 2 - 800i overflows: only the lower half-plane form
+    # of this model can be built without a RuntimeWarning.
+    return TrigModel.build(parity, [1, 2 - 800j, 4 + 0.5j], [1, 2, 3], [1, 1, 1])
+
+
+class TestZetaFormCache:
+    """Each model builds its zeta form once per half-plane, on first use there."""
+
+    @pytest.mark.parametrize("parity, value", [
+        (Parity.ODD, 1.4836 + 0.5387j),
+        (Parity.EVEN, 1.1204 - 0.2032j),
+    ])
+    def test_only_the_half_plane_used_is_built(self, parity, value):
+        model = lazy_model(parity)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(evaluate(model, 0.5 - 1j) - value) < 1e-4
+            for p in (1, 4):
+                assert np.isfinite(derivative_at(model, 0.5 - 1j, p))
+            assert evaluate_batch(model, []).shape == (0,)
+            assert derivative_at(model, np.zeros((2, 0)), 1).shape == (2, 0)
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    @pytest.mark.parametrize("m", [1, 5, 17])
+    @pytest.mark.parametrize("s", [1.0, -1.0])
+    def test_cached_form_is_the_zeta_form_bitwise(self, parity, m, s):
+        model = random_model(np.random.default_rng(30 + m), m, parity)
+        form = model._zeta(s)
+        assert model._zeta(s) is form
+        zeta_j, a, c = _zeta_form(model, s, model.weights)
+        for got, want in zip(form, (zeta_j, a, c, np.abs(zeta_j))):
+            assert np.array_equal(got, want) and not got.flags.writeable
+        assert np.array_equal(form[4], np.add.reduce(c))
+        assert np.array_equal(form[5], np.add.reduce(c * model.fvals))
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_replaced_weights_evaluate_as_a_fresh_model(self, parity):
+        rng = np.random.default_rng(31)
+        model = random_model(rng, 6, parity)
+        zs = rng.uniform(0, TWO_PI, 50) + 1j * rng.uniform(-2, 2, 50)
+        evaluate_batch(model, zs)
+        w = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        w /= np.linalg.norm(w)
+        replaced = dataclasses.replace(model, weights=w)
+        fresh = TrigModel(parity, model.support, model.fvals, w)
+        assert [f.name for f in dataclasses.fields(replaced)] == [
+            "parity", "support", "fvals", "weights", "err_history", "scale", "converged",
+            "cleanup_warning"]
+        assert np.array_equal(evaluate_batch(replaced, zs), evaluate_batch(fresh, zs))
+        assert not np.array_equal(evaluate_batch(replaced, zs), evaluate_batch(model, zs))
+        for p in (1, 4):
+            assert np.array_equal(derivative_at(replaced, zs, p), derivative_at(fresh, zs, p))
+
+
+class TestOneBlock:
+    """A batch that fits one block of by_blocks gives what one-point calls give."""
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_batch_equals_one_point_calls(self, parity, extra):
+        rng = np.random.default_rng(32)
+        model = random_model(rng, 20, parity)
+        n = EVAL_CELLS // model.m + extra
+        zs = rng.uniform(0, TWO_PI, n) + 1j * rng.uniform(-1, 1, n)
+        zs[::50] += 1j * rng.uniform(-80, 80, len(zs[::50]))
+        hits = zs.copy()
+        hits[::40] = model.support[0]
+        assert (evaluate_batch(model, hits).tobytes()
+                == np.array([evaluate(model, z) for z in hits]).tobytes())
+        for p in (1, 4):
+            assert (derivative_at(model, zs, p).tobytes()
+                    == np.array([derivative_at(model, z, p) for z in zs]).tobytes())
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (), (3, 4)])
+    def test_shapes_are_kept(self, shape):
+        rng = np.random.default_rng(33)
+        model = random_model(rng, 5, Parity.EVEN)
+        zs = (rng.uniform(0, TWO_PI, shape) + 1j * rng.uniform(-1, 1, shape)).astype(complex)
+        values = evaluate_batch(model, zs)
+        assert values.shape == shape
+        assert np.array_equal(values.ravel(), evaluate_batch(model, zs.ravel()))
+        for p in (1, 4):
+            d = derivative_at(model, zs, p)
+            if shape == ():
+                assert isinstance(d, complex)
+            else:
+                assert d.shape == shape
+            assert np.array_equal(np.ravel(d), derivative_at(model, zs.ravel(), p))
