@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trigbary import TrigModel, _cauchy_sum, blockwise
+from .trigbary import TrigModel, _cauchy_sum, _real_axis, blockwise
 
 MAX_ORDER = 4
 
@@ -90,9 +90,10 @@ def derivative_at(model: TrigModel, z, p: int):
     barycentric rational R(zeta) (trigbary._zeta_form, built once per
     half-plane by the model).  One divided-difference pass per order gives
     R^{(k)}/k!, at O(N m p) for N points; every sum is taken per point, so a
-    point's derivative does not depend on the batch it is in.  Points within
-    1e-8 of a support point must use :func:`diff_matrix` instead; any such
-    point raises.
+    point's derivative does not depend on the batch it is in.  A real
+    model's finite derivative at a real point is real (trigbary._real_axis).
+    Points within 1e-8 of a support point must use :func:`diff_matrix`
+    instead; any such point raises.
     """
     if p < 1:
         raise ValueError("derivative order must be positive")
@@ -117,7 +118,7 @@ def _derivative_block(model, s, zc, p):
         d = (t[:, None] - d) / diff
         t = np.einsum("ij,ij->i", cauchy, d) / den
         taylor.append(t)
-    return _z_derivative(s, zeta, taylor)
+    return _real_axis(model, zc, _z_derivative(s, zeta, taylor))
 
 
 def _z_derivative(s, zeta, taylor):

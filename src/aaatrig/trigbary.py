@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -229,6 +230,13 @@ class TrigModel:
                                            np.add.reduce(c * self.fvals, axis=None))
         return self.__dict__[key]
 
+    @cached_property
+    def _real(self) -> bool:
+        """Whether every support point, value and weight has imaginary part 0,
+        so that r(x) is real for real x.  Kept in the instance __dict__, not
+        in a field."""
+        return not any(np.any(a.imag) for a in (self.support, self.fvals, self.weights))
+
     @classmethod
     def build(cls, parity: Parity, support, fvals, weights, **kwargs) -> "TrigModel":
         """Construct from raw data: canonicalizes support, normalizes weights."""
@@ -256,8 +264,9 @@ def evaluate_batch(model: TrigModel, zs) -> np.ndarray:
 
     Each point is evaluated as the classical barycentric rational of
     :func:`_zeta_form` in zeta = e^{isz}, with s the sign of Im z, which the
-    model builds once per half-plane (TrigModel._zeta).  A point's value does
-    not depend on the batch it is in.
+    model builds once per half-plane (TrigModel._zeta).  A real model's
+    finite value at a real point is real (:func:`_real_axis`).  A point's
+    value does not depend on the batch it is in.
     """
 
     def block(s, zc):
@@ -265,9 +274,23 @@ def evaluate_batch(model: TrigModel, zs) -> np.ndarray:
         diff = np.exp(s * 1j * zc)[:, None] - zeta_j
         # |zeta - zeta_j| / |zeta_j| is |z - z_j| to first order, over the
         # 2*pi shifts.
-        return barycentric_ratio(diff, abs_zeta, a, c_sum, cf_sum, model.fvals)
+        out = barycentric_ratio(diff, abs_zeta, a, c_sum, cf_sum, model.fvals)
+        return _real_axis(model, zc, out)
 
     return blockwise(block, zs, model.m)
+
+
+def _real_axis(model: TrigModel, zc, out):
+    """out, with imaginary part +0.0 where zc is real and out finite, for a real model.
+
+    A real model (TrigModel._real) is real on the real axis, where the zeta
+    arithmetic leaves only a rounding residue in the imaginary part; the
+    real part is kept bit for bit.  Im z == -0.0 counts as real, and
+    POLE_VALUE and other non-finite values are kept.
+    """
+    if model._real:
+        out.imag[(zc.imag == 0.0) & np.isfinite(out)] = 0.0
+    return out
 
 
 def by_blocks(fn, zs, width: int) -> np.ndarray:

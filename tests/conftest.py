@@ -1,6 +1,7 @@
 """Shared helpers: random model generation, a Cauchy-integral derivative
 oracle and an independent root finder."""
 
+import dataclasses
 from math import factorial
 
 import numpy as np
@@ -63,6 +64,34 @@ def random_model(rng, m, parity, force_pi=False, im_range=0.3):
     fvals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     weights = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     return TrigModel.build(parity, np.asarray(pts), fvals, weights)
+
+
+def real_model(rng, m, parity):
+    """Random model whose support points, values and weights are all real:
+    support jittered about the m-point equispaced grid, so any m fits."""
+    support = TWO_PI * (np.arange(m) + rng.uniform(0.0, 0.5, m)) / m
+    return TrigModel.build(parity, support, rng.standard_normal(m), rng.standard_normal(m))
+
+
+def real_axis_points(rng, n=40):
+    """n real points: random ones in [-1, 7), one of them moved 2*pi*10^6
+    out and one given the imaginary part -0.0."""
+    zs = rng.uniform(-1.0, 7.0, n).astype(complex)
+    zs[1] += TWO_PI * 1e6
+    zs[2] = complex(zs[2].real, -0.0)
+    return zs
+
+
+def complex_twins(model):
+    """The model with one weight, one support point or one value made complex."""
+    weights = model.weights.copy()
+    weights[-1] += 1e-3j
+    support, fvals = model.support.copy(), model.fvals.copy()
+    support[0] += 1e-3j
+    fvals[0] += 1e-3j
+    return [dataclasses.replace(model, weights=weights / np.linalg.norm(weights)),
+            dataclasses.replace(model, support=support),
+            dataclasses.replace(model, fvals=fvals)]
 
 
 def cauchy_derivative(model, z, p, radius, nodes=64):

@@ -1,8 +1,10 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
 
-from aaatrig.calculus import derivative_at, diff_matrix
+from aaatrig.calculus import _derivative_block, derivative_at, diff_matrix
 from aaatrig.solver import FitConfig, fit
 from aaatrig.trigbary import (
     EVAL_CELLS,
@@ -14,7 +16,13 @@ from aaatrig.trigbary import (
     interpolatory_weights,
 )
 
-from conftest import cauchy_derivative, random_model
+from conftest import (
+    cauchy_derivative,
+    complex_twins,
+    random_model,
+    real_axis_points,
+    real_model,
+)
 
 
 def odd_worked():
@@ -280,3 +288,58 @@ def test_near_support_accuracy(exp_sin_fit, p, tol):
         want = [complex(mpmath.diff(lambda t: mpmath.exp(mpmath.sin(t)), mpmath.mpf(z), p))
                 for z in zs]
     assert np.max(np.abs(derivative_at(exp_sin_fit, zs, p) - want)) <= tol
+
+
+def unprojected_derivative(model, s, zs, p):
+    """_derivative_block's arithmetic in the half-plane of sign s with no
+    real-axis rule: on a copy of the model whose _real flag reads False."""
+    twin = dataclasses.replace(model)
+    twin.__dict__["_real"] = False
+    return _derivative_block(twin, s, zs, p)
+
+
+class TestRealAxis:
+    """A real model's finite derivatives at real points have imaginary part
+    +0.0, and their real parts are the zeta form's bit for bit."""
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    @pytest.mark.parametrize("m", [1, 5, 17])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_real_points_give_real_derivatives(self, parity, m, p):
+        rng = np.random.default_rng(50 + m)
+        model = real_model(rng, m, parity)
+        zs = real_axis_points(rng)
+        d = derivative_at(model, zs, p)
+        reference = unprojected_derivative(model, 1.0, zs, p)
+        assert np.array_equal(d.real, reference.real)
+        assert not np.any(d.imag) and not np.any(np.signbit(d.imag))
+        if m > 1:
+            assert np.any(reference.imag)
+        assert d.tobytes() == np.array([derivative_at(model, z, p) for z in zs]).tobytes()
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_complex_models_and_points_keep_their_imaginary_parts(self, parity):
+        rng = np.random.default_rng(56)
+        model = real_model(rng, 5, parity)
+        zs = real_axis_points(rng)
+        off_axis = zs + 1j * rng.uniform(-2.0, 2.0, len(zs))
+        off_axis[:2] = zs[:2] + np.array([1e-300j, -1e-300j])
+        up = off_axis.imag >= 0.0
+        for p in (1, 4):
+            d = derivative_at(model, off_axis, p)
+            assert d[up].tobytes() == unprojected_derivative(model, 1.0, off_axis[up], p).tobytes()
+            assert (d[~up].tobytes()
+                    == unprojected_derivative(model, -1.0, off_axis[~up], p).tobytes())
+            for twin in complex_twins(model):
+                d = derivative_at(twin, zs, p)
+                assert not twin._real and np.all(d.imag != 0.0)
+                assert d.tobytes() == _derivative_block(twin, 1.0, zs, p).tobytes()
+
+    def test_non_finite_derivatives_keep_their_imaginary_parts(self):
+        huge = TrigModel.build(Parity.ODD, [0.5, 2.0, 4.0], [1e308, -1e308, 1e308], [1, 1, 1])
+        zs = np.array([1.0, 3.0], dtype=complex)
+        assert huge._real
+        for p in (1, 4):
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = derivative_at(huge, zs, p)
+            assert np.all(np.isnan(d.imag))

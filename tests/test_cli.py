@@ -633,6 +633,34 @@ class TestCommandTableBytes:
         assert (tmp_path / "cf.fft.tsv").read_text() == expected
 
 
+class TestRealAxisTables:
+    """A real model writes 0.0 imaginary parts at real points and nothing else changes."""
+
+    def test_eval_and_diff_of_a_real_fit(self, tmp_path):
+        xs = TWO_PI * np.arange(64) / 64
+        data = tmp_path / "d.csv"
+        write_csv(data, [(x, 0.0, 1.0 / (2.0 + np.sin(x)), 0.0) for x in xs])
+        out = str(tmp_path / "fit")
+        assert main(["fit", "--data", str(data), "--out", out]) == 0
+        model = read_model(out + ".model.json")
+        assert model._real
+        zs = np.random.default_rng(34).uniform(-1.0, 7.0, 30).astype(complex)
+        zs[1] = complex(zs[1].real, -0.0)
+        zs[-1] += 0.25j
+        pts = tmp_path / "pts.csv"
+        write_csv(pts, [(z.real, z.imag) for z in zs], header="re_z,im_z")
+        assert main(["eval", "--model", out + ".model.json", "--points", str(pts),
+                     "--out", str(tmp_path / "e")]) == 0
+        assert main(["diff", "--model", out + ".model.json", "--points", str(pts),
+                     "--order", "2", "--out", str(tmp_path / "d")]) == 0
+        for table, values in (("e.values.tsv", evaluate_batch(model, zs)),
+                              ("d.derivs.tsv", derivative_at(model, zs, 2))):
+            rows = [line.split("\t") for line in (tmp_path / table).read_text().splitlines()[1:]]
+            assert [row[2] for row in rows] == [repr(float(v.real)) for v in values]
+            assert [row[3] for row in rows[:-1]] == ["0.0"] * (len(zs) - 1)
+            assert rows[-1][3] == repr(float(values[-1].imag)) and values[-1].imag != 0.0
+
+
 def csv_read_points(path):
     """Points by the csv-module loop alone: the reference for read_points."""
     points = []

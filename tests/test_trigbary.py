@@ -11,10 +11,12 @@ from aaatrig.trigbary import (
     EVAL_CELLS,
     FarField,
     Parity,
+    POLE_VALUE,
     SampleSet,
     TrigModel,
     TWO_PI,
     _zeta_form,
+    barycentric_ratio,
     canonicalize,
     cst,
     evaluate,
@@ -24,7 +26,7 @@ from aaatrig.trigbary import (
     strip_distance,
 )
 
-from conftest import barycentric_sum, random_model
+from conftest import barycentric_sum, complex_twins, random_model, real_axis_points, real_model
 
 
 def worked_odd_model():
@@ -572,3 +574,80 @@ class TestOneBlock:
             else:
                 assert d.shape == shape
             assert np.array_equal(np.ravel(d), derivative_at(model, zs.ravel(), p))
+
+
+def zeta_ratio(model, s, zs):
+    """barycentric_ratio on the zeta differences evaluate_batch forms in the
+    half-plane of sign s, with no real-axis rule."""
+    zeta_j, a, _, abs_zeta, c_sum, cf_sum = model._zeta(s)
+    diff = np.exp(s * 1j * zs)[:, None] - zeta_j
+    return barycentric_ratio(diff, abs_zeta, a, c_sum, cf_sum, model.fvals)
+
+
+class TestRealAxis:
+    """A real model's finite values at real points have imaginary part +0.0,
+    and their real parts are the zeta form's bit for bit."""
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    @pytest.mark.parametrize("m", [1, 5, 17])
+    def test_real_points_give_real_values(self, parity, m):
+        rng = np.random.default_rng(40 + m)
+        model = real_model(rng, m, parity)
+        zs = real_axis_points(rng)
+        zs[3] = model.support[-1]
+        values = evaluate_batch(model, zs)
+        reference = zeta_ratio(model, 1.0, zs)
+        assert model._real and "_real" in model.__dict__
+        assert np.array_equal(values.real, reference.real)
+        assert not np.any(values.imag) and not np.any(np.signbit(values.imag))
+        assert values[3] == model.fvals[-1]
+        if m > 1:
+            assert np.any(reference.imag)
+        assert values.tobytes() == np.array([evaluate(model, z) for z in zs]).tobytes()
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_batch_equals_one_point_calls(self, parity, extra):
+        rng = np.random.default_rng(47)
+        model = real_model(rng, 20, parity)
+        n = EVAL_CELLS // model.m + extra
+        zs = real_axis_points(rng, n)
+        zs[::3] += 1j * rng.uniform(-1.0, 1.0, len(zs[::3]))
+        hits = zs.copy()
+        hits[::40] = model.support[0]
+        values = evaluate_batch(model, hits)
+        assert values.tobytes() == np.array([evaluate(model, z) for z in hits]).tobytes()
+        assert not np.any(values[hits.imag == 0.0].imag)
+        for p in (1, 4):
+            assert (derivative_at(model, zs, p).tobytes()
+                    == np.array([derivative_at(model, z, p) for z in zs]).tobytes())
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_complex_models_and_points_keep_their_imaginary_parts(self, parity):
+        rng = np.random.default_rng(46)
+        model = real_model(rng, 5, parity)
+        zs = real_axis_points(rng)
+        off_axis = zs + 1j * rng.uniform(-2.0, 2.0, len(zs))
+        off_axis[:2] = zs[:2] + np.array([1e-300j, -1e-300j])
+        values = evaluate_batch(model, off_axis)
+        up = off_axis.imag >= 0.0
+        assert values[up].tobytes() == zeta_ratio(model, 1.0, off_axis[up]).tobytes()
+        assert values[~up].tobytes() == zeta_ratio(model, -1.0, off_axis[~up]).tobytes()
+        for twin in complex_twins(model):
+            values = evaluate_batch(twin, zs)
+            assert not twin._real and np.all(values.imag != 0.0)
+            assert values.tobytes() == zeta_ratio(twin, 1.0, zs).tobytes()
+
+    def test_non_finite_values_keep_their_imaginary_parts(self):
+        model = worked_odd_model()
+        assert model._real
+        poles = evaluate_batch(model, np.array([np.pi / 2, complex(np.pi / 2, -0.0)]))
+        assert poles.tobytes() == np.array([POLE_VALUE, POLE_VALUE]).tobytes()
+        huge = TrigModel.build(Parity.ODD, [0.5, 2.0, 4.0], [1e308, -1e308, 1e308], [1, 1, 1])
+        zs = np.array([1.0, 3.0, 5.0], dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = evaluate_batch(huge, zs)
+            reference = zeta_ratio(huge, 1.0, zs)
+        assert huge._real and not np.any(np.isfinite(values[:2]))
+        assert np.all(values[:2].imag != 0.0) and values[2].imag == 0.0
+        assert np.array_equal(values[:2], reference[:2])
